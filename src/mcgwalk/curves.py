@@ -35,8 +35,6 @@ from .surface import CurveId, Surface
 
 Letter = tuple[int, int]
 
-COORDINATE_SYSTEM_VERSION = "sphere-normal-1"
-
 
 @dataclass(frozen=True)
 class MappingClassWord:
@@ -163,29 +161,6 @@ def curve_for_id(s: Surface, cid: CurveId) -> CurveCoordinates:
     if cid.family == "separating":
         return separating_curve(s, cid.index)
     raise UnknownCurveError(f"unknown curve family {cid.family!r}")
-
-
-def battery_curves(s: Surface) -> list[CurveCoordinates]:
-    """The identity-test battery: pair curves of every reference edge.
-
-    Fixing the boundary curve of each edge's neighbourhood fixes the
-    edge itself, and a mapping class fixing every edge of an ideal
-    triangulation of the quotient sphere is trivial there; the battery
-    therefore fills and pins the class up to the covering involution.
-    """
-    _require_closed(s)
-    system = _system(s.genus)
-    n_chain = 2 * s.genus + 1
-    out = []
-    for e, vec in enumerate(system.edge_battery):
-        transport = ((), e + 1) if e < n_chain else None
-        out.append(CurveCoordinates(genus=s.genus, vector=vec, transport=transport))
-    return out
-
-
-def reference_curves(s: Surface) -> list[CurveCoordinates]:
-    """Chain curves followed by the rest of the filling battery."""
-    return battery_curves(s)
 
 
 def twist_action(w: MappingClassWord, c: CurveCoordinates) -> CurveCoordinates:

@@ -12,8 +12,3 @@ except ImportError:  # pragma: no cover
     BACKEND = "python"
 
 replay = _impl.replay
-
-
-def backend_name() -> str:
-    """Which replay implementation is active ("compiled" or "python")."""
-    return BACKEND

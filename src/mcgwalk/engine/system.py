@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import kernel
 from .build import half_twist_search, rotation_program
@@ -101,9 +101,6 @@ class TwistSystem:
         if not 1 <= index <= 2 * self.genus + 1:
             raise KeyError(f"generator index {index} out of range")
         return self._pos[index] if sign > 0 else self._neg[index]
-
-    def apply_letter(self, vec: Sequence[int], index: int, sign: int) -> tuple[int, ...]:
-        return self.program(index, sign).apply(vec)
 
     def apply_word(self, letters: Sequence[Letter], vec: Sequence[int]) -> tuple[int, ...]:
         """Act by the word s_1 s_2 ... s_m under the convention ab(x) = a(b(x))."""

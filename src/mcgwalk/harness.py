@@ -23,7 +23,6 @@ import random
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -245,6 +244,10 @@ def _verdict_fields(v: classify.Verdict) -> dict:
 def _parallel_map(fn: Callable, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here so that single-worker runs do not load the pool
+    # machinery (multiprocessing) at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -325,7 +328,20 @@ def aggregate_pa_fraction(cfg: ExperimentConfig, records: list[dict]) -> list[di
     return rows
 
 
-def _run_pa_fraction(cfg: ExperimentConfig):
+@dataclass(frozen=True)
+class RunResult:
+    """What every experiment runner returns; ``failures`` counts broken
+    exact invariants that are raised only after the outputs are written."""
+
+    records: list[dict]
+    rows: list[dict]
+    columns: tuple[str, ...]
+    summary: list[str]
+    plot: list[str]
+    failures: int = 0
+
+
+def _run_pa_fraction(cfg: ExperimentConfig) -> RunResult:
     tasks = [(cfg, n, i) for n in cfg.lengths for i in range(cfg.samples)]
     records = _parallel_map(_classify_task, tasks, cfg.workers)
     records.sort(key=lambda r: (r["n"], r["index"]))
@@ -352,7 +368,7 @@ def _run_pa_fraction(cfg: ExperimentConfig):
     plot = [
         "# n fraction two_sigma",
     ] + [f"{row['n']} {row['fraction']!r} {row['two_sigma']!r}" for row in rows]
-    return records, rows, PA_FRACTION_COLUMNS, summary, plot
+    return RunResult(records, rows, PA_FRACTION_COLUMNS, summary, plot)
 
 
 # --- rel_length_growth ---
@@ -403,7 +419,7 @@ def aggregate_rel_length(cfg: ExperimentConfig, records: list[dict]) -> list[dic
     return rows
 
 
-def _run_rel_length_growth(cfg: ExperimentConfig):
+def _run_rel_length_growth(cfg: ExperimentConfig) -> RunResult:
     tasks = [(cfg, n, i) for n in cfg.lengths for i in range(cfg.samples)]
     records = _parallel_map(_proxy_task, tasks, cfg.workers)
     records.sort(key=lambda r: (r["n"], r["index"]))
@@ -422,7 +438,7 @@ def _run_rel_length_growth(cfg: ExperimentConfig):
         f"{row['n']} {row['median_lower']!r} {row['median_upper']!r} {row['max_upper']}"
         for row in rows
     ]
-    return records, rows, REL_LENGTH_COLUMNS, summary, plot
+    return RunResult(records, rows, REL_LENGTH_COLUMNS, summary, plot)
 
 
 # --- conjugacy_bounds ---
@@ -514,7 +530,7 @@ def aggregate_conjugacy(cfg: ExperimentConfig, records: list[dict]) -> list[dict
     ]
 
 
-def _run_conjugacy_bounds(cfg: ExperimentConfig):
+def _run_conjugacy_bounds(cfg: ExperimentConfig) -> RunResult:
     tasks = [(cfg, i) for i in range(cfg.samples)]
     records = _parallel_map(_conjugacy_task, tasks, cfg.workers)
     records.sort(key=lambda r: r["index"])
@@ -535,7 +551,7 @@ def _run_conjugacy_bounds(cfg: ExperimentConfig):
         for r in records
         if r["found"]
     ]
-    return records, rows, CONJUGACY_COLUMNS, summary, plot
+    return RunResult(records, rows, CONJUGACY_COLUMNS, summary, plot)
 
 
 # --- transience_rk ---
@@ -582,7 +598,7 @@ TRANSIENCE_COLUMNS = (
 _TRANSIENCE_R_CAP = 200
 
 
-def _run_transience_rk(cfg: ExperimentConfig):
+def _run_transience_rk(cfg: ExperimentConfig) -> RunResult:
     tasks = [(cfg, i) for i in range(cfg.samples)]
     raw = _parallel_map(_transience_task, tasks, cfg.workers)
     raw.sort(key=lambda r: r["index"])
@@ -671,7 +687,7 @@ def _run_transience_rk(cfg: ExperimentConfig):
         f"{row['n']} {row['k']} {row['mean_hits_r']!r} {row['mean_hits_complement']!r}"
         for row in rows
     ]
-    return records, rows, TRANSIENCE_COLUMNS, summary, plot
+    return RunResult(records, rows, TRANSIENCE_COLUMNS, summary, plot)
 
 
 # --- exact_lemma ---
@@ -752,7 +768,7 @@ def aggregate_exact_lemma(cfg: ExperimentConfig, records: list[dict]) -> list[di
     return rows
 
 
-def _run_exact_lemma(cfg: ExperimentConfig):
+def _run_exact_lemma(cfg: ExperimentConfig) -> RunResult:
     cells = [
         (cfg, k, m, n)
         for k in cfg.k_values
@@ -776,10 +792,8 @@ def _run_exact_lemma(cfg: ExperimentConfig):
         f"{row['k']} {row['m']} {row['n']} {row['passed']} {row['failed']}"
         for row in rows
     ]
-    if failures:
-        # outputs are still written by the caller before the error surfaces
-        return records, rows, EXACT_LEMMA_COLUMNS, summary, plot, failures
-    return records, rows, EXACT_LEMMA_COLUMNS, summary, plot
+    # outputs are still written by the caller before a failure surfaces
+    return RunResult(records, rows, EXACT_LEMMA_COLUMNS, summary, plot, failures)
 
 
 _RUNNERS = {
@@ -789,14 +803,6 @@ _RUNNERS = {
     "conjugacy_bounds": _run_conjugacy_bounds,
     "transience_rk": _run_transience_rk,
     "exact_lemma": _run_exact_lemma,
-}
-
-AGGREGATORS = {
-    "pa_fraction": aggregate_pa_fraction,
-    "torelli_pa_fraction": aggregate_pa_fraction,
-    "rel_length_growth": aggregate_rel_length,
-    "conjugacy_bounds": aggregate_conjugacy,
-    "exact_lemma": aggregate_exact_lemma,
 }
 
 
@@ -814,11 +820,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     validate_config(cfg)
     start = time.monotonic()
     result = _RUNNERS[cfg.experiment](cfg)
-    failures = 0
-    if len(result) == 6:
-        records, rows, columns, summary, plot, failures = result
-    else:
-        records, rows, columns, summary, plot = result
+    records, rows, columns = result.records, result.rows, result.columns
     chash = config_hash(cfg)
     out_path = Path(cfg.out_dir) / cfg.experiment / chash
     out_path.mkdir(parents=True, exist_ok=True)
@@ -832,7 +834,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for row in rows:
             writer.writerow([row[c] for c in columns])
     with open(out_path / "plot.dat", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(plot) + "\n")
+        handle.write("\n".join(result.plot) + "\n")
     elapsed = time.monotonic() - start
     header = [
         f"experiment: {cfg.experiment}",
@@ -842,10 +844,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "",
     ]
     with open(out_path / "summary.txt", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(header + summary) + "\n")
-    if failures:
+        handle.write("\n".join(header + result.summary) + "\n")
+    if result.failures:
         raise InvariantViolationError(
-            f"{failures} exact-lemma checks failed; see {out_path}"
+            f"{result.failures} exact-lemma checks failed; see {out_path}"
         )
     return ExperimentReport(
         config=cfg,

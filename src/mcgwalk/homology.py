@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import UnknownCurveError
-from .surface import CurveId, GeneratorSet, Surface
+from .surface import GeneratorSet
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,6 @@ def chain_class(g: int, k: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def curve_class(s: Surface, c: CurveId) -> tuple[int, ...]:
-    if c.family == "chain":
-        return chain_class(s.genus, c.index)
-    if c.family == "separating":
-        return tuple([0] * (2 * s.genus))
-    raise UnknownCurveError(f"no homology class table for family {c.family!r}")
-
-
 def transvection_by(g: int, vec: Sequence[int]) -> SymplecticMatrix:
     """Matrix of x -> x + <x, v> v (a positive twist about a curve in class v)."""
     j = symplectic_form(g)
@@ -133,12 +125,6 @@ def transvection_by(g: int, vec: Sequence[int]) -> SymplecticMatrix:
             row[c] += vec[i] * jv[c]
         rows.append(tuple(row))
     return SymplecticMatrix(tuple(rows))
-
-
-def transvection_matrix(s: Surface, c: CurveId) -> SymplecticMatrix:
-    m = transvection_by(s.genus, curve_class(s, c))
-    assert is_symplectic(m)
-    return m
 
 
 def chain_word_matrix(g: int, letters: Sequence[tuple[int, int]]) -> SymplecticMatrix:

@@ -3,9 +3,14 @@
 All measures are exact rationals; floating point never enters a
 probability.  Group elements are identified by canonical keys (battery
 action plus homology matrix), so convolution masses are aggregated per
-mapping class, not per word.  Sampling is counter-based: the random
-stream for a sample is derived from a seed string alone, so batches
-reproduce exactly regardless of execution order or worker count.
+mapping class, not per word.  Convolution levels are cached per step
+distribution (a few at a time) and the chain of levels is extended on
+demand, so asking for mu^(n) again, or for a shallower level, does no
+engine or homology work; the budget check is repeated on cached levels,
+so a warm cache fails exactly where a cold build would.  Sampling is
+counter-based: the random stream for a sample is derived from a seed
+string alone, so batches reproduce exactly regardless of execution
+order or worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
@@ -138,14 +144,15 @@ class EmpiricalMeasure:
         if sum(m for (_k, m) in self.masses) != 1:
             raise ValueError("total mass must be one")
 
-    def as_dict(self) -> dict:
+    @cached_property
+    def _mass_by_key(self) -> dict:
         return dict(self.masses)
 
     def mass_of(self, w: MappingClassWord) -> Fraction:
-        return self.as_dict().get(curves.canonical_key(w), Fraction(0))
+        return self._mass_by_key.get(curves.canonical_key(w), Fraction(0))
 
     def mass_of_key(self, key: tuple) -> Fraction:
-        return self.as_dict().get(key, Fraction(0))
+        return self._mass_by_key.get(key, Fraction(0))
 
     def __len__(self) -> int:
         return len(self.masses)
@@ -159,37 +166,43 @@ class _ConvState:
     mass: Fraction
 
 
-def exact_convolution(
-    mu: StepDistribution, n: int, budget: int = DEFAULT_CONVOLUTION_BUDGET
-) -> EmpiricalMeasure:
-    """The n-fold convolution mu^(n) with exact rational masses.
+class _LevelChain:
+    """The left-extension levels mu^(0), mu^(1), ... of one step distribution.
 
-    Built by left extension mu^(n) = mu * mu^(n-1): the battery images
-    and homology matrix of s*g follow from those of g by one generator
-    application, so each element extends in constant work regardless of
-    word length.
+    ``levels[i]`` maps the key (battery images, homology entries) of each
+    element of mu^(i) to its state, in insertion order; ``measures[i]``
+    is the sorted measure of that level, built on first request.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    genus = mu.genus
-    system = get_system(genus)
-    step_words = [tuple(w.letters) for w in mu.support]
-    step_matrices = [homology.chain_word_matrix(genus, w) for w in step_words]
-    ident = homology.SymplecticMatrix.identity(2 * genus)
-    start = _ConvState(
-        tuple(system.edge_battery), ident, MappingClassWord.make(genus, ()), Fraction(1)
-    )
-    states: dict[tuple, _ConvState] = {(start.images, ident.entries): start}
-    for _level in range(n):
+
+    def __init__(self, mu: StepDistribution):
+        genus = mu.genus
+        self.mu = mu
+        self.system = get_system(genus)
+        self.step_words = [tuple(w.letters) for w in mu.support]
+        self.step_matrices = [
+            homology.chain_word_matrix(genus, w) for w in self.step_words
+        ]
+        ident = homology.SymplecticMatrix.identity(2 * genus)
+        start = _ConvState(
+            tuple(self.system.edge_battery),
+            ident,
+            MappingClassWord.make(genus, ()),
+            Fraction(1),
+        )
+        self.levels: list[dict[tuple, _ConvState]] = [
+            {(start.images, ident.entries): start}
+        ]
+        self.measures: list[Optional[EmpiricalMeasure]] = [None]
+
+    def extend(self) -> None:
+        """Append mu^(i+1) = mu * mu^(i) for the deepest level i."""
+        apply_word = self.system.apply_word
         next_states: dict[tuple, _ConvState] = {}
-        required = len(states) * len(mu.support)
-        if required > budget:
-            raise BudgetExceededError("convolution over budget", required=required)
-        for state in states.values():
+        for state in self.levels[-1].values():
             for (letters, matrix, s_word, s_mass) in zip(
-                step_words, step_matrices, mu.support, mu.masses
+                self.step_words, self.step_matrices, self.mu.support, self.mu.masses
             ):
-                images = tuple(system.apply_word(letters, v) for v in state.images)
+                images = tuple(apply_word(letters, v) for v in state.images)
                 new_matrix = matrix * state.matrix
                 key = (images, new_matrix.entries)
                 mass = s_mass * state.mass
@@ -202,12 +215,49 @@ def exact_convolution(
                     next_states[key] = _ConvState(
                         seen.images, seen.matrix, seen.word, seen.mass + mass
                     )
-        states = next_states
-    items = sorted(states.items(), key=lambda kv: kv[0])
-    return EmpiricalMeasure(
-        masses=tuple((key, st.mass) for (key, st) in items),
-        representatives=tuple(st.word for (_key, st) in items),
-    )
+        self.levels.append(next_states)
+        self.measures.append(None)
+
+    def measure(self, n: int) -> EmpiricalMeasure:
+        if self.measures[n] is None:
+            items = sorted(self.levels[n].items(), key=lambda kv: kv[0])
+            self.measures[n] = EmpiricalMeasure(
+                masses=tuple((key, st.mass) for (key, st) in items),
+                representatives=tuple(st.word for (_key, st) in items),
+            )
+        return self.measures[n]
+
+
+@lru_cache(maxsize=4)
+def _level_chain(mu: StepDistribution) -> _LevelChain:
+    return _LevelChain(mu)
+
+
+def exact_convolution(
+    mu: StepDistribution, n: int, budget: int = DEFAULT_CONVOLUTION_BUDGET
+) -> EmpiricalMeasure:
+    """The n-fold convolution mu^(n) with exact rational masses.
+
+    Built by left extension mu^(n) = mu * mu^(n-1): the battery images
+    and homology matrix of s*g follow from those of g by one generator
+    application, so each element extends in constant work regardless of
+    word length.  Levels are cached per step distribution (the four most
+    recently used) and the chain is extended only when a deeper n is
+    asked for; the returned measure is shared between calls and frozen.
+    The budget check runs on every level below n, cached or not, so a
+    warm cache raises at the same level with the same ``required`` as a
+    cold build.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    chain = _level_chain(mu)
+    for level in range(n):
+        required = len(chain.levels[level]) * len(mu.support)
+        if required > budget:
+            raise BudgetExceededError("convolution over budget", required=required)
+        if level + 1 == len(chain.levels):
+            chain.extend()
+    return chain.measure(n)
 
 
 def sup_mass(m: EmpiricalMeasure) -> tuple[tuple, Fraction]:

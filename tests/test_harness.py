@@ -220,3 +220,25 @@ def test_exact_lemma_run_passes(tmp_path: Path):
         lhs = Fraction(r["lhs"])
         rhs = Fraction(r["rhs"])
         assert lhs <= rhs
+
+
+def test_exact_lemma_failures_exit_4_after_writing_outputs(
+    tmp_path: Path, monkeypatch, capsys
+):
+    check = harness.walk.separated_inequality_check
+
+    def failing_check(*args, **kwargs):
+        return replace(check(*args, **kwargs), passed=False)
+
+    monkeypatch.setattr(harness.walk, "separated_inequality_check", failing_check)
+    code = main(
+        ["exact_lemma", "--lengths", "2,3", "--out", str(tmp_path), "--seed", "3"]
+    )
+    assert code == 4
+    assert "exact-lemma checks failed" in capsys.readouterr().err
+    (run_dir,) = (tmp_path / "exact_lemma").iterdir()
+    for name in ("samples.jsonl", "aggregate.csv", "plot.dat", "summary.txt"):
+        assert (run_dir / name).stat().st_size > 0
+    with open(run_dir / "samples.jsonl") as handle:
+        records = [json.loads(line) for line in handle]
+    assert records and not any(r["passed"] for r in records)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from mcgwalk import curve_graph, curves, walk
 from mcgwalk.curve_graph import FiniteElementSet
 from mcgwalk.curves import MappingClassWord, twist_word
+from mcgwalk.engine.system import TwistSystem, get_system
 from mcgwalk.errors import BudgetExceededError
 from mcgwalk.surface import GeneratorSet, Surface, humphries_generators
 
@@ -125,6 +127,58 @@ def test_convolution_budget_guard():
     with pytest.raises(BudgetExceededError) as err:
         walk.exact_convolution(mu, 10, budget=50)
     assert err.value.required > 50
+
+
+def _cold_convolution(mu, n, budget=walk.DEFAULT_CONVOLUTION_BUDGET):
+    walk._level_chain.cache_clear()
+    return walk.exact_convolution(mu, n, budget=budget)
+
+
+def test_cached_levels_match_cold_builds_in_any_order():
+    mu = walk.make_step_distribution(_sub_generators(2))
+    cold = {n: _cold_convolution(mu, n) for n in range(6)}
+    shuffled = list(range(6))
+    random.Random(3).shuffle(shuffled)
+    for order in (range(6), range(5, -1, -1), shuffled):
+        walk._level_chain.cache_clear()
+        for n in order:
+            warm = walk.exact_convolution(mu, n)
+            assert warm.masses == cold[n].masses
+            assert warm.representatives == cold[n].representatives
+
+
+@pytest.mark.parametrize("budget", [50, 500])
+def test_budget_guard_is_the_same_on_a_warm_cache(budget):
+    # the checks that trip read the sizes of levels 1 (10 elements) and
+    # 2 (67 elements); the warm call reads both from the mu^(3) build
+    mu = walk.make_step_distribution(GS)
+    with pytest.raises(BudgetExceededError) as cold:
+        _cold_convolution(mu, 10, budget=budget)
+    walk.exact_convolution(mu, 3)  # caches levels 0..3
+    with pytest.raises(BudgetExceededError) as warm:
+        walk.exact_convolution(mu, 10, budget=budget)
+    assert warm.value.required == cold.value.required > budget
+
+
+def test_one_deeper_level_costs_one_level_of_work(monkeypatch):
+    calls = [0]
+    apply_word = TwistSystem.apply_word
+
+    def counting(self, letters, vec):
+        calls[0] += 1
+        return apply_word(self, letters, vec)
+
+    monkeypatch.setattr(TwistSystem, "apply_word", counting)
+    mu = walk.make_step_distribution(_sub_generators(2))
+    m4 = _cold_convolution(mu, 4)
+    calls[0] = 0
+    walk.exact_convolution(mu, 5)
+    battery = len(get_system(2).edge_battery)
+    assert calls[0] == len(m4) * len(mu.support) * battery
+    calls[0] = 0
+    assert walk.exact_convolution(mu, 5) is walk.exact_convolution(mu, 5)
+    walk.exact_convolution(mu, 2)
+    assert calls[0] == 0
 
 
 def test_sup_mass_and_tie_breaking():
