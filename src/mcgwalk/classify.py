@@ -1,10 +1,12 @@
-"""Thurston-trichotomy classifier with exact one-sided certificates.
+"""Thurston-trichotomy classifier: exact one-sided certificates and one heuristic.
 
 Certificate sources never conflict: a verified periodic or reducible
-witness is exact, the homology certificate is sound for pseudo-Anosov,
-and the growth certificate demands that the invariant-multicurve search
-come up empty at the same budget.  The classifier therefore runs the
-cheap exact screens first and returns the first certificate found;
+witness is exact, and the homology and Penner-form certificates are
+sound for pseudo-Anosov.  The growth verdict is a heuristic pA, not a
+certificate: stabilised exponential growth of i(w^n(c), c) together
+with an empty invariant-multicurve search, which does not exclude a
+reducible class with a pseudo-Anosov piece.  The classifier runs the
+cheap exact screens first and returns the first verdict found;
 ``Unknown`` is an honest first-class outcome.
 """
 
@@ -76,8 +78,12 @@ def periodic_order(w: MappingClassWord, max_order: Optional[int] = None) -> Opti
     genus = w.genus
     bound = max_order if max_order is not None else 4 * genus + 2
     matrix = homology.chain_word_matrix(genus, w.letters)
-    ident = homology.SymplecticMatrix.identity(2 * genus)
-    candidates = [n for n in range(1, bound + 1) if matrix.power(n) == ident]
+    ident = power = homology.SymplecticMatrix.identity(2 * genus)
+    candidates = []
+    for n in range(1, bound + 1):
+        power = power * matrix
+        if power == ident:
+            candidates.append(n)
     if not candidates:
         return None
     system = get_system(genus)
@@ -193,9 +199,15 @@ def growth_certificate(
     iterations: int = 14,
     threshold: Fraction = Fraction(1, 20),
     stabilization: Fraction = Fraction(1, 100),
-    search_bound: int = 1,
 ) -> GrowthReport:
-    """Exact intersection-growth report for i(w^n(c), c)."""
+    """Exact intersection-growth report for i(w^n(c), c).
+
+    ``verdict`` is a heuristic pseudo-Anosov signal: the ratios of the
+    exact sequence stabilise above 1 + threshold.  A reducible class with
+    a pseudo-Anosov piece also grows exponentially, so ``classify``
+    reports growth-pA only after its invariant-multicurve search came up
+    empty, and even then the verdict is not a certificate.
+    """
     if iterations < 4:
         raise ValueError("need at least four iterations")
     if not c.transportable:
@@ -209,33 +221,31 @@ def growth_certificate(
         Fraction(seq[i + 1], seq[i]) for i in range(len(seq) - 1) if seq[i] != 0
     )
     stabilized: Optional[Fraction] = None
-    verdict = False
     if len(ratios) >= 3 and 0 not in seq:
         last = ratios[-3:]
         lo, hi = min(last), max(last)
         if lo > 0 and (hi - lo) / hi <= stabilization and last[-1] > 1 + threshold:
             stabilized = last[-1]
-            if find_invariant_multicurve(w, search_bound) is None:
-                verdict = True
     return GrowthReport(
         curve=c,
         iterations=iterations,
         sequence=tuple(seq),
         ratios=ratios,
         stabilized_ratio=stabilized,
-        verdict=verdict,
+        verdict=stabilized is not None,
     )
 
 
 def classify(w: MappingClassWord, budgets: Budgets = Budgets()) -> Verdict:
-    """First certificate among periodic, homology-pA, Penner-form,
-    reducible, and growth-pA; else Unknown.
+    """First certificate among periodic, homology-pA, Penner-form and
+    reducible, then the heuristic growth-pA; else Unknown.
 
-    Sound certificates are mutually exclusive, so the check order is a
-    cost choice, not a semantic one: the cheap exact screens (periodic
+    Sound certificates are mutually exclusive, so their order is a cost
+    choice, not a semantic one: the cheap exact screens (periodic
     prescreen, characteristic polynomial, Penner form) run before the
     invariant-multicurve search, which applies the word to every
-    candidate curve.
+    candidate curve.  The growth heuristic runs last, because its
+    verdict needs that search to have come up empty.
     """
     genus = w.genus
     order = periodic_order(w, budgets.order_bound(genus))
@@ -257,7 +267,6 @@ def classify(w: MappingClassWord, budgets: Budgets = Budgets()) -> Verdict:
         iterations=budgets.iterations,
         threshold=budgets.threshold,
         stabilization=budgets.stabilization,
-        search_bound=budgets.search_bound,
     )
     if report.verdict:
         return PseudoAnosov("growth", dilatation_estimate=report.stabilized_ratio)

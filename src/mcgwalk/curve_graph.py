@@ -7,9 +7,9 @@ pairs, and the standard logarithmic upper bound 2 + 2*log2(i) for
 intersecting curves (imported, not tight; tagged in the certificates).
 
 Word-metric questions are decided exactly by ball enumeration over a
-generator set, with group elements identified by their canonical keys
-(battery action plus homology matrix).  Enumeration is guarded by an
-explicit budget; there is no approximate fallback.
+generator set, with group elements identified by the keys of their
+``curves.ElementState``.  Enumeration is guarded by an explicit budget;
+there is no approximate fallback.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 
 from . import curves, homology
 from .curves import CurveCoordinates, MappingClassWord
-from .engine.system import get_system
 from .errors import BudgetExceededError
 from .surface import GeneratorSet, Surface, humphries_generators
 
@@ -132,14 +131,6 @@ class FiniteElementSet:
         return curves.canonical_key(w) in set(self.keys)
 
 
-@dataclass(frozen=True)
-class _BallState:
-    images: tuple[tuple[int, ...], ...]
-    matrix: homology.SymplecticMatrix
-    word: tuple[tuple[int, int], ...]
-    dist: int
-
-
 def _signed_generator_words(gs: GeneratorSet) -> list[tuple[tuple[int, int], ...]]:
     out = []
     for g in gs.generators:
@@ -172,27 +163,22 @@ def enumerate_ball(
     if naive > budget:
         raise BudgetExceededError("ball enumeration over budget", required=naive)
     genus = gs.surface.genus
-    system = get_system(genus)
     steps = _signed_generator_words(gs)
     matrices = [homology.chain_word_matrix(genus, w) for w in steps]
-    start_images = tuple(system.edge_battery)
-    ident = homology.SymplecticMatrix.identity(2 * genus)
-    out: dict[tuple, tuple[int, tuple[tuple[int, int], ...]]] = {
-        (start_images, ident.entries): (0, ())
-    }
-    frontier = [_BallState(start_images, ident, (), 0)]
+    start = curves.ElementState.identity(genus)
+    out: dict[tuple, tuple[int, tuple[tuple[int, int], ...]]] = {start.key: (0, ())}
+    frontier = [(start, ())]
     for dist in range(1, k + 1):
         next_frontier = []
-        for state in frontier:
+        for (state, state_word) in frontier:
             for (letters, matrix) in zip(steps, matrices):
-                images = tuple(system.apply_word(letters, v) for v in state.images)
-                new_matrix = matrix * state.matrix
-                key = (images, new_matrix.entries)
+                new_state = state.left_mul(letters, matrix)
+                key = new_state.key
                 if key in out:
                     continue
-                word = letters + state.word
+                word = letters + state_word
                 out[key] = (dist, word)
-                next_frontier.append(_BallState(images, new_matrix, word, dist))
+                next_frontier.append((new_state, word))
         frontier = next_frontier
     return out
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from . import homology
 from .engine.system import TwistSystem, get_system
 from .errors import (
     IntersectionUnsupportedError,
@@ -270,17 +271,52 @@ def alexander_identity_test(w: MappingClassWord) -> bool:
     system = _system(w.genus)
     if not system.fixes_battery(w.letters):
         return False
-    from . import homology
-
     return homology.chain_word_matrix(w.genus, w.letters).is_identity()
 
 
-def canonical_key(w: MappingClassWord) -> tuple:
-    """Canonical group-element key: battery images plus homology matrix."""
-    system = _system(w.genus)
-    from . import homology
+@dataclass(frozen=True)
+class ElementState:
+    """A group element's exact state: edge-battery images and homology matrix.
 
-    return (
-        system.battery_fingerprint(w.letters),
-        homology.chain_word_matrix(w.genus, w.letters).entries,
+    Equal states mean equal mapping classes (see the module docstring),
+    so ``key`` identifies group elements in balls, convolutions and
+    element sets.
+    """
+
+    images: tuple[tuple[int, ...], ...]
+    matrix: homology.SymplecticMatrix
+
+    @staticmethod
+    def identity(genus: int) -> "ElementState":
+        return ElementState(
+            _system(genus).edge_battery, homology.SymplecticMatrix.identity(2 * genus)
+        )
+
+    @property
+    def key(self) -> tuple:
+        """The canonical key: (battery images, homology matrix entries)."""
+        return (self.images, self.matrix.entries)
+
+    def left_mul(
+        self, letters: Sequence[Letter], matrix: homology.SymplecticMatrix
+    ) -> "ElementState":
+        """The state of s*g, for g this state and s the word ``letters``
+        whose homology matrix is ``matrix``."""
+        apply_word = _system(self.matrix.dimension // 2).apply_word
+        return ElementState(
+            tuple(apply_word(letters, v) for v in self.images), matrix * self.matrix
+        )
+
+
+def element_state(w: MappingClassWord) -> ElementState:
+    """The exact state of the mapping class of w."""
+    system = _system(w.genus)
+    return ElementState(
+        tuple(system.apply_word(w.letters, v) for v in system.edge_battery),
+        homology.chain_word_matrix(w.genus, w.letters),
     )
+
+
+def canonical_key(w: MappingClassWord) -> tuple:
+    """Canonical group-element key, ``element_state(w).key``."""
+    return element_state(w).key

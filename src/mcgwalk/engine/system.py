@@ -126,10 +126,6 @@ class TwistSystem:
         """True iff the word acts trivially downstairs (full edge battery)."""
         return all(self.apply_word(letters, v) == v for v in self.edge_battery)
 
-    def battery_fingerprint(self, letters: Sequence[Letter]) -> tuple:
-        """Canonical downstairs fingerprint of the word's action."""
-        return tuple(self.apply_word(letters, v) for v in self.edge_battery)
-
 
 @lru_cache(maxsize=None)
 def get_system(genus: int) -> TwistSystem:

@@ -475,15 +475,13 @@ def _conjugacy_task(args) -> dict:
     s_word = _random_gs_word(rng, gs, cfg.genus, 1 + rng.randrange(cfg.short_length))
     u_word = _random_gs_word(rng, gs, cfg.genus, rng.randrange(cfg.radius + 1))
     b_word = u_word * s_word * u_word.inverse()
-    target_matrix = homology.chain_word_matrix(cfg.genus, b_word.letters)
-    target_key = curves.canonical_key(b_word)
+    target = curves.element_state(b_word)
+    s_matrix = homology.chain_word_matrix(cfg.genus, s_word.letters)
     best_upper: Optional[int] = None
     for (v, v_matrix) in _conjugator_ball(cfg):
-        if v_matrix * homology.chain_word_matrix(cfg.genus, s_word.letters) != (
-            target_matrix * v_matrix
-        ):
+        if v_matrix * s_matrix != target.matrix * v_matrix:
             continue
-        if curves.canonical_key(v * s_word * v.inverse()) != target_key:
+        if curves.canonical_key(v * s_word * v.inverse()) != target.key:
             continue
         upper = curve_graph.rel_length_proxy(v).upper
         if best_upper is None or upper < best_upper:

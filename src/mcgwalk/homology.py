@@ -113,8 +113,9 @@ def chain_class(g: int, k: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def transvection_by(g: int, vec: Sequence[int]) -> SymplecticMatrix:
-    """Matrix of x -> x + <x, v> v (a positive twist about a curve in class v)."""
+def transvection_by(g: int, vec: Sequence[int], sign: int = 1) -> SymplecticMatrix:
+    """Matrix of x -> x + sign <x, v> v (a twist of that sign about a
+    curve in class v)."""
     j = symplectic_form(g)
     jv = j.apply(vec)
     dim = 2 * g
@@ -122,7 +123,7 @@ def transvection_by(g: int, vec: Sequence[int]) -> SymplecticMatrix:
     for i in range(dim):
         row = [1 if i == c else 0 for c in range(dim)]
         for c in range(dim):
-            row[c] += vec[i] * jv[c]
+            row[c] += sign * vec[i] * jv[c]
         rows.append(tuple(row))
     return SymplecticMatrix(tuple(rows))
 
@@ -130,33 +131,13 @@ def transvection_by(g: int, vec: Sequence[int]) -> SymplecticMatrix:
 def chain_word_matrix(g: int, letters: Sequence[tuple[int, int]]) -> SymplecticMatrix:
     """Homology action of a signed chain-letter word, convention ab(x) = a(b(x))."""
     out = SymplecticMatrix.identity(2 * g)
-    inverses: dict[int, SymplecticMatrix] = {}
-    positives: dict[int, SymplecticMatrix] = {}
+    factors: dict[tuple[int, int], SymplecticMatrix] = {}
     for (k, sign) in letters:
-        if sign > 0:
-            m = positives.get(k)
-            if m is None:
-                m = positives.setdefault(k, transvection_by(g, chain_class(g, k)))
-        else:
-            m = inverses.get(k)
-            if m is None:
-                m = inverses.setdefault(k, _inverse_transvection(g, chain_class(g, k)))
+        m = factors.get((k, sign))
+        if m is None:
+            m = factors[k, sign] = transvection_by(g, chain_class(g, k), sign)
         out = out * m
     return out
-
-
-def _inverse_transvection(g: int, vec: Sequence[int]) -> SymplecticMatrix:
-    """Inverse of a transvection: x -> x - <x, v> v."""
-    j = symplectic_form(g)
-    jv = j.apply(vec)
-    dim = 2 * g
-    rows = []
-    for i in range(dim):
-        row = [1 if i == c else 0 for c in range(dim)]
-        for c in range(dim):
-            row[c] -= vec[i] * jv[c]
-        rows.append(tuple(row))
-    return SymplecticMatrix(tuple(rows))
 
 
 def word_to_matrix(w, gs: GeneratorSet) -> SymplecticMatrix:

@@ -1,8 +1,8 @@
 """Random-walk engine: step distributions, sample paths, exact convolutions.
 
 All measures are exact rationals; floating point never enters a
-probability.  Group elements are identified by canonical keys (battery
-action plus homology matrix), so convolution masses are aggregated per
+probability.  Group elements are identified by the keys of their
+``curves.ElementState``, so convolution masses are aggregated per
 mapping class, not per word.  Convolution levels are cached per step
 distribution (a few at a time) and the chain of levels is extended on
 demand, so asking for mu^(n) again, or for a shallower level, does no
@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 from . import curve_graph, curves, homology
 from .curve_graph import FiniteElementSet
 from .curves import MappingClassWord
-from .engine.system import get_system
 from .errors import BudgetExceededError
 from .surface import GeneratorSet
 
@@ -160,8 +159,7 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class _ConvState:
-    images: tuple[tuple[int, ...], ...]
-    matrix: homology.SymplecticMatrix
+    state: curves.ElementState
     word: MappingClassWord
     mass: Fraction
 
@@ -169,52 +167,39 @@ class _ConvState:
 class _LevelChain:
     """The left-extension levels mu^(0), mu^(1), ... of one step distribution.
 
-    ``levels[i]`` maps the key (battery images, homology entries) of each
-    element of mu^(i) to its state, in insertion order; ``measures[i]``
-    is the sorted measure of that level, built on first request.
+    ``levels[i]`` maps the canonical key of each element of mu^(i) to its
+    state, in insertion order; ``measures[i]`` is the sorted measure of
+    that level, built on first request.
     """
 
     def __init__(self, mu: StepDistribution):
         genus = mu.genus
         self.mu = mu
-        self.system = get_system(genus)
         self.step_words = [tuple(w.letters) for w in mu.support]
         self.step_matrices = [
             homology.chain_word_matrix(genus, w) for w in self.step_words
         ]
-        ident = homology.SymplecticMatrix.identity(2 * genus)
-        start = _ConvState(
-            tuple(self.system.edge_battery),
-            ident,
-            MappingClassWord.make(genus, ()),
-            Fraction(1),
-        )
+        start = curves.ElementState.identity(genus)
         self.levels: list[dict[tuple, _ConvState]] = [
-            {(start.images, ident.entries): start}
+            {start.key: _ConvState(start, MappingClassWord.make(genus, ()), Fraction(1))}
         ]
         self.measures: list[Optional[EmpiricalMeasure]] = [None]
 
     def extend(self) -> None:
         """Append mu^(i+1) = mu * mu^(i) for the deepest level i."""
-        apply_word = self.system.apply_word
         next_states: dict[tuple, _ConvState] = {}
-        for state in self.levels[-1].values():
+        for conv in self.levels[-1].values():
             for (letters, matrix, s_word, s_mass) in zip(
                 self.step_words, self.step_matrices, self.mu.support, self.mu.masses
             ):
-                images = tuple(apply_word(letters, v) for v in state.images)
-                new_matrix = matrix * state.matrix
-                key = (images, new_matrix.entries)
-                mass = s_mass * state.mass
+                state = conv.state.left_mul(letters, matrix)
+                key = state.key
+                mass = s_mass * conv.mass
                 seen = next_states.get(key)
                 if seen is None:
-                    next_states[key] = _ConvState(
-                        images, new_matrix, s_word * state.word, mass
-                    )
+                    next_states[key] = _ConvState(state, s_word * conv.word, mass)
                 else:
-                    next_states[key] = _ConvState(
-                        seen.images, seen.matrix, seen.word, seen.mass + mass
-                    )
+                    next_states[key] = _ConvState(seen.state, seen.word, seen.mass + mass)
         self.levels.append(next_states)
         self.measures.append(None)
 

@@ -87,6 +87,20 @@ def test_growth_certificate_rejects_reducible():
     assert not report.verdict
 
 
+def test_classify_searches_for_a_multicurve_once(monkeypatch):
+    calls = [0]
+    search = classify.find_invariant_multicurve
+
+    def counting(w, search_bound):
+        calls[0] += 1
+        return search(w, search_bound)
+
+    monkeypatch.setattr(classify, "find_invariant_multicurve", counting)
+    verdict = run_classify(_word(((5, 1), (5, 1), (1, 1), (4, -1), (2, -1))))
+    assert isinstance(verdict, PseudoAnosov) and verdict.source == "growth"
+    assert calls[0] == 1
+
+
 def test_growth_certificate_input_validation():
     c1 = curves.chain_curves(S2)[0]
     with pytest.raises(ValueError):

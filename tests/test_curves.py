@@ -152,6 +152,23 @@ def test_canonical_key_separates_and_identifies():
     assert curves.canonical_key(braid_a) != curves.canonical_key(braid_a.inverse())
 
 
+def test_canonical_key_is_reached_by_left_multiplication():
+    rng = random.Random(17)
+    for genus in (2, 3):
+        for _trial in range(8):
+            letters = tuple(
+                (rng.randrange(1, 2 * genus + 2), rng.choice((1, -1)))
+                for _ in range(rng.randrange(0, 10))
+            )
+            w = MappingClassWord.make(genus, letters)
+            state = curves.ElementState.identity(genus)
+            for letter in reversed(w.letters):
+                state = state.left_mul(
+                    (letter,), homology.chain_word_matrix(genus, (letter,))
+                )
+            assert state.key == curves.canonical_key(w)
+
+
 @given(st.lists(st.tuples(st.integers(1, 5), st.sampled_from((1, -1))), max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_twist_action_respects_inverses(letters):

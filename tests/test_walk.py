@@ -181,6 +181,14 @@ def test_one_deeper_level_costs_one_level_of_work(monkeypatch):
     assert calls[0] == 0
 
 
+def test_convolution_representatives_have_their_keys():
+    mu = walk.make_step_distribution(_sub_generators(3))
+    for n in range(5):
+        m = walk.exact_convolution(mu, n)
+        for ((key, _mass), rep) in zip(m.masses, m.representatives):
+            assert curves.canonical_key(rep) == key
+
+
 def test_sup_mass_and_tie_breaking():
     mu = walk.make_step_distribution(_sub_generators(1))
     key, mass = walk.sup_mass(walk.exact_convolution(mu, 2))
