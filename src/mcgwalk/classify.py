@@ -77,7 +77,7 @@ def periodic_order(w: MappingClassWord, max_order: Optional[int] = None) -> Opti
     """
     genus = w.genus
     bound = max_order if max_order is not None else 4 * genus + 2
-    matrix = homology.chain_word_matrix(genus, w.letters)
+    matrix = w.homology_matrix
     ident = power = homology.SymplecticMatrix.identity(2 * genus)
     candidates = []
     for n in range(1, bound + 1):

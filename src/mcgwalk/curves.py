@@ -23,6 +23,7 @@ the homology matrix (-identity for the involution) settles which.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import homology
@@ -62,6 +63,11 @@ class MappingClassWord:
     @property
     def length(self) -> int:
         return len(self.letters)
+
+    @cached_property
+    def homology_matrix(self) -> homology.SymplecticMatrix:
+        """The homology action of the word, built once per word object."""
+        return homology.chain_word_matrix(self.genus, self.letters)
 
     def __mul__(self, other: "MappingClassWord") -> "MappingClassWord":
         if other.genus != self.genus:
@@ -271,7 +277,7 @@ def alexander_identity_test(w: MappingClassWord) -> bool:
     system = _system(w.genus)
     if not system.fixes_battery(w.letters):
         return False
-    return homology.chain_word_matrix(w.genus, w.letters).is_identity()
+    return w.homology_matrix.is_identity()
 
 
 @dataclass(frozen=True)
@@ -313,7 +319,7 @@ def element_state(w: MappingClassWord) -> ElementState:
     system = _system(w.genus)
     return ElementState(
         tuple(system.apply_word(w.letters, v) for v in system.edge_battery),
-        homology.chain_word_matrix(w.genus, w.letters),
+        w.homology_matrix,
     )
 
 

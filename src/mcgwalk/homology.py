@@ -1,16 +1,22 @@
 """Exact homology actions and the characteristic-polynomial certificate.
 
 Dehn twists act on H_1 of the surface by symplectic transvections
-x -> x + <x,[c]>[c].  A word whose characteristic polynomial is
-irreducible, not cyclotomic, and not a polynomial in t^k for k >= 2 is
-pseudo-Anosov (a one-sided certificate; the converse fails, e.g. on the
-Torelli group, where the matrix is the identity).
+x -> x + <x,[c]>[c].  A chain curve's class has one or two nonzero
+entries, so ``chain_word_matrix`` builds a word's matrix by sparse
+column updates, O(g) integer additions per letter; ``transvection_by``
+builds the dense transvection and is the reference those products are
+tested against.
+A word whose characteristic polynomial is irreducible, not cyclotomic,
+and not a polynomial in t^k for k >= 2 is pseudo-Anosov (a one-sided
+certificate; the converse fails, e.g. on the Torelli group, where the
+matrix is the identity).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import UnknownCurveError
@@ -128,16 +134,45 @@ def transvection_by(g: int, vec: Sequence[int], sign: int = 1) -> SymplecticMatr
     return SymplecticMatrix(tuple(rows))
 
 
-def chain_word_matrix(g: int, letters: Sequence[tuple[int, int]]) -> SymplecticMatrix:
-    """Homology action of a signed chain-letter word, convention ab(x) = a(b(x))."""
-    out = SymplecticMatrix.identity(2 * g)
-    factors: dict[tuple[int, int], SymplecticMatrix] = {}
-    for (k, sign) in letters:
-        m = factors.get((k, sign))
-        if m is None:
-            m = factors[k, sign] = transvection_by(g, chain_class(g, k), sign)
-        out = out * m
+@lru_cache(maxsize=None)
+def _column_updates(g: int) -> dict:
+    """Sparse transvection data per signed chain letter (k, sign): the
+    nonzero entries (i, v_i) of v = [c_k] and (c, sign (Jv)_c) of sign Jv."""
+    j = symplectic_form(g)
+    out = {}
+    for k in range(1, 2 * g + 2):
+        vec = chain_class(g, k)
+        jv = j.apply(vec)
+        src = tuple((i, x) for i, x in enumerate(vec) if x)
+        for sign in (1, -1):
+            out[k, sign] = (src, tuple((c, sign * x) for c, x in enumerate(jv) if x))
     return out
+
+
+def chain_word_matrix(g: int, letters: Sequence[tuple[int, int]]) -> SymplecticMatrix:
+    """Homology action of a signed chain-letter word, convention ab(x) = a(b(x)).
+
+    The product is built left to right on mutable rows: right
+    multiplication by T = I + sign v (Jv)^T adds sign (Jv)_c (row . v)
+    to column c of each row, and v and Jv have at most two nonzero
+    entries each.
+    """
+    dim = 2 * g
+    rows = [[1 if i == c else 0 for c in range(dim)] for i in range(dim)]
+    updates = _column_updates(g)
+    for letter in letters:
+        try:
+            src, dst = updates[letter]
+        except KeyError:
+            raise UnknownCurveError(f"no chain letter {letter} in genus {g}") from None
+        for row in rows:
+            x = 0
+            for (i, a) in src:
+                x += a * row[i]
+            if x:
+                for (c, b) in dst:
+                    row[c] += b * x
+    return SymplecticMatrix(tuple(map(tuple, rows)))
 
 
 def word_to_matrix(w, gs: GeneratorSet) -> SymplecticMatrix:
@@ -149,7 +184,7 @@ def word_to_matrix(w, gs: GeneratorSet) -> SymplecticMatrix:
     for (k, _sign) in w.letters:
         if not 1 <= k <= limit:
             raise UnknownCurveError(f"letter c_{k} not in the generator set")
-    return chain_word_matrix(g, w.letters)
+    return w.homology_matrix
 
 
 # -- polynomials -----------------------------------------------------------
@@ -294,38 +329,31 @@ def is_irreducible(q: IntPolynomial) -> bool:
     return len(factors) == 1 and factors[0][1] == 1
 
 
-def _poly_divides(q: IntPolynomial, target: IntPolynomial) -> bool:
-    """Exact division test for monic q."""
-    rem = list(target.coeffs)
-    dq = q.degree
-    while len(rem) - 1 >= dq:
-        lead = rem[-1]
-        if lead == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - 1 - dq
-        for i, c in enumerate(q.coeffs):
-            rem[shift + i] -= lead * c
-        assert rem[-1] == 0
-        rem.pop()
-    return all(c == 0 for c in rem)
-
-
 def is_cyclotomic(q: IntPolynomial) -> bool:
-    """True iff q divides t^n - 1 for some n with phi(n) <= deg q.
+    """True iff q divides t^n - 1 for some 1 <= n <= 2 d^2 + 1, d = deg q.
 
-    Euler phi satisfies phi(n) >= sqrt(n/2), so n <= 2 deg^2 suffices.
+    For irreducible q (the only case the certificate asks about) this is
+    cyclotomicity: q = Phi_n with phi(n) = d, and phi(n) >= sqrt(n/2)
+    gives n <= 2 d^2.  A reducible q can first divide t^n - 1 at an n
+    with phi(n) > d: Phi_3 Phi_5 has degree 6 and needs n = 15, with
+    phi(15) = 8.  The test carries r = t^n mod q from one n to the next
+    (a shift and one d-term subtraction) and asks whether r = 1.
     """
     if not q.is_monic:
         raise ValueError("expected a monic polynomial")
     d = q.degree
     if d < 1:
         return False
-    for n in range(1, 2 * d * d + 2):
-        target = IntPolynomial.make([-1] + [0] * (n - 1) + [1])
-        if target.degree < d:
-            continue
-        if _poly_divides(q, target):
+    low = q.coeffs[:d]
+    one = [1] + [0] * (d - 1)
+    r = list(one)
+    for _n in range(1, 2 * d * d + 2):
+        lead = r[-1]
+        r = [0] + r[:-1]
+        if lead:
+            for i, c in enumerate(low):
+                r[i] -= lead * c
+        if r == one:
             return True
     return False
 

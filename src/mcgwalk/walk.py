@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
-from . import curve_graph, curves, homology
+from . import curve_graph, curves
 from .curve_graph import FiniteElementSet
 from .curves import MappingClassWord
 from .errors import BudgetExceededError
@@ -47,6 +47,8 @@ class StepDistribution:
             raise ValueError("masses must be positive")
         if sum(self.masses) != 1:
             raise ValueError("masses must sum to one")
+        if any(w.genus != self.support[0].genus for w in self.support):
+            raise ValueError("support words disagree on the genus")
 
     @property
     def genus(self) -> int:
@@ -108,6 +110,8 @@ def sample_path(mu: StepDistribution, n: int, seed) -> WalkSample:
     Steps are drawn by exact integer inversion sampling: a uniform
     integer below the common mass denominator selects the atom, so the
     sampled law matches mu exactly, not merely to float precision.
+    The step words are reduced, so w_k is kept reduced on one letter
+    stack: each step letter cancels the top letter or is pushed.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -122,13 +126,17 @@ def sample_path(mu: StepDistribution, n: int, seed) -> WalkSample:
     genus = mu.genus
     steps = []
     locations = []
-    current = MappingClassWord.make(genus, ())
+    stack: list[curves.Letter] = []
     for _k in range(n):
         r = rng.randrange(denominator)
         index = next(i for i, c in enumerate(cutoffs) if r < c)
         steps.append(index)
-        current = current * mu.support[index]
-        locations.append(current)
+        for (k, sign) in mu.support[index].letters:
+            if stack and stack[-1] == (k, -sign):
+                stack.pop()
+            else:
+                stack.append((k, sign))
+        locations.append(MappingClassWord(genus, tuple(stack)))
     return WalkSample(genus, str(seed), tuple(steps), tuple(locations))
 
 
@@ -176,9 +184,7 @@ class _LevelChain:
         genus = mu.genus
         self.mu = mu
         self.step_words = [tuple(w.letters) for w in mu.support]
-        self.step_matrices = [
-            homology.chain_word_matrix(genus, w) for w in self.step_words
-        ]
+        self.step_matrices = [w.homology_matrix for w in mu.support]
         start = curves.ElementState.identity(genus)
         self.levels: list[dict[tuple, _ConvState]] = [
             {start.key: _ConvState(start, MappingClassWord.make(genus, ()), Fraction(1))}

@@ -265,7 +265,7 @@ def test_criterion_06_pa_fraction_trend(tmp_path: Path):
     passed = strict and within_bands and elapsed < 600
     _report(
         6,
-        "certified-pA fraction trend "
+        "pA fraction trend (certified plus heuristic growth) "
         + " ".join(f"{f:.2f}" for f in fractions)
         + f" ({elapsed:.1f}s)",
         passed,
@@ -292,7 +292,7 @@ def test_criterion_07_torelli_corollary(tmp_path: Path):
     passed = homology_ok and trend and elapsed < 600
     _report(
         7,
-        "Torelli walk: homology trivial, growth-certified "
+        "Torelli walk: homology trivial, heuristic growth-pA fraction "
         + " ".join(f"{f:.2f}" for f in growth_fracs)
         + f" ({elapsed:.1f}s)",
         passed,

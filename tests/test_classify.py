@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcgwalk import classify, curves
+from mcgwalk import classify, curves, homology
 from mcgwalk.classify import (
     Budgets,
     Periodic,
@@ -98,6 +98,20 @@ def test_classify_searches_for_a_multicurve_once(monkeypatch):
     monkeypatch.setattr(classify, "find_invariant_multicurve", counting)
     verdict = run_classify(_word(((5, 1), (5, 1), (1, 1), (4, -1), (2, -1))))
     assert isinstance(verdict, PseudoAnosov) and verdict.source == "growth"
+    assert calls[0] == 1
+
+
+def test_classify_builds_the_homology_matrix_once(monkeypatch):
+    calls = [0]
+    build = homology.chain_word_matrix
+
+    def counting(g, letters):
+        calls[0] += 1
+        return build(g, letters)
+
+    monkeypatch.setattr(homology, "chain_word_matrix", counting)
+    verdict = run_classify(_word(((1, 1), (2, -1), (3, 1), (4, -1))))
+    assert verdict == PseudoAnosov("homology")
     assert calls[0] == 1
 
 

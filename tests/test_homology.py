@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -105,6 +106,35 @@ def test_transvections_are_symplectic(vec):
     assert homology.is_symplectic(m)
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_sparse_products_match_dense_transvections(genus):
+    rng = random.Random(40 + genus)
+    words = [()] + [
+        tuple(
+            (rng.randrange(1, 2 * genus + 2), rng.choice((1, -1)))
+            for _ in range(rng.randrange(1, 30))
+        )
+        for _ in range(25)
+    ]
+    for letters in words:
+        dense = SymplecticMatrix.identity(2 * genus)
+        for (k, sign) in letters:
+            dense = dense * homology.transvection_by(
+                genus, homology.chain_class(genus, k), sign
+            )
+        assert homology.chain_word_matrix(genus, letters) == dense, letters
+
+
+def test_homology_matrix_is_cached_per_word():
+    w = MappingClassWord.make(3, ((1, 1), (4, -1), (7, 1)))
+    twin = MappingClassWord.make(3, w.letters)
+    hash_before = hash(w)
+    m = w.homology_matrix
+    assert w.homology_matrix is m
+    assert m == homology.chain_word_matrix(3, w.letters)
+    assert w == twin and hash(w) == hash_before == hash(twin)
+
+
 def test_twist_and_inverse_twist_cancel_on_homology():
     rng = random.Random(6)
     for k in range(1, 6):
@@ -160,6 +190,40 @@ def test_cyclotomic_detection():
     assert homology.is_cyclotomic(IntPolynomial.make([1, 0, 0, 0, 1]))  # Phi_8
     assert not homology.is_cyclotomic(IntPolynomial.make([1, -7, 13, -7, 1]))
     assert not homology.is_cyclotomic(IntPolynomial.make([2, 1]))
+
+
+def _first_cyclotomic_exponent(q: IntPolynomial):
+    """Reference: the least n <= 2 d^2 + 1 for which long division of
+    t^n - 1 by the monic q leaves no remainder, else None."""
+    d = q.degree
+    if d < 1:
+        return None
+    for n in range(d, 2 * d * d + 2):
+        rem = [-1] + [0] * (n - 1) + [1]
+        while len(rem) - 1 >= d:
+            lead = rem[-1]
+            shift = len(rem) - 1 - d
+            for i, c in enumerate(q.coeffs):
+                rem[shift + i] -= lead * c
+            assert rem.pop() == 0
+        if not any(rem):
+            return n
+    return None
+
+
+def test_is_cyclotomic_matches_long_division():
+    seen = 0
+    for degree in range(5):
+        for low in itertools.product(range(-2, 3), repeat=degree):
+            q = IntPolynomial.make(list(low) + [1])
+            expected = _first_cyclotomic_exponent(q) is not None
+            assert homology.is_cyclotomic(q) == expected, q.coeffs
+            seen += expected
+    assert seen > 20
+    # Phi_3 Phi_5: degree 6, first divides t^15 - 1, and phi(15) = 8 > 6
+    q = IntPolynomial.make([1, 2, 3, 3, 3, 2, 1])
+    assert _first_cyclotomic_exponent(q) == 15
+    assert homology.is_cyclotomic(q)
 
 
 def test_power_substitution():

@@ -14,7 +14,12 @@ from mcgwalk.curve_graph import FiniteElementSet
 from mcgwalk.curves import MappingClassWord, twist_word
 from mcgwalk.engine.system import TwistSystem, get_system
 from mcgwalk.errors import BudgetExceededError
-from mcgwalk.surface import GeneratorSet, Surface, humphries_generators
+from mcgwalk.surface import (
+    GeneratorSet,
+    Surface,
+    humphries_generators,
+    torelli_generators,
+)
 
 S2 = Surface(2, 0)
 GS = humphries_generators(S2)
@@ -52,6 +57,10 @@ def test_step_distribution_validation():
     w = MappingClassWord.make(2, ((1, 1),))
     with pytest.raises(ValueError):
         walk.StepDistribution((w, w), (Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(ValueError):
+        walk.StepDistribution(
+            (w, MappingClassWord.make(3, ((1, 1),))), (Fraction(1, 2), Fraction(1, 2))
+        )
 
 
 def test_sample_path_is_deterministic_in_the_seed():
@@ -65,6 +74,19 @@ def test_sample_path_is_deterministic_in_the_seed():
     assert a.location(25) is a.locations[-1]
     with pytest.raises(ValueError):
         walk.sample_path(mu, -1, "s")
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_sample_path_locations_are_reduced_prefix_products(genus):
+    s = Surface(genus, 0)
+    for gs in (humphries_generators(s), torelli_generators(s, 4)):
+        mu = walk.make_step_distribution(gs)
+        for index in range(6):
+            path = walk.sample_path(mu, 40, walk.sample_seed(11, index))
+            letters: tuple = ()
+            for n, step in enumerate(path.steps, start=1):
+                letters += mu.support[step].letters
+                assert path.location(n) == MappingClassWord.make(genus, letters)
 
 
 def test_sampled_step_frequencies_match_the_law():
