@@ -1,26 +1,27 @@
 """Thurston-trichotomy classifier: exact one-sided certificates and one heuristic.
 
-Certificate sources never conflict: a verified periodic or reducible
-witness is exact, and the homology and Penner-form certificates are
-sound for pseudo-Anosov.  The growth verdict is a heuristic pA, not a
-certificate: stabilised exponential growth of i(w^n(c), c) together
-with an empty invariant-multicurve search, which does not exclude a
-reducible class with a pseudo-Anosov piece.  The classifier runs the
-cheap exact screens first and returns the first verdict found;
-``Unknown`` is an honest first-class outcome.
+Certificate sources never conflict: the periodic verdict is an exact
+decision, a verified reducible witness is exact, and the homology and
+Penner-form certificates are sound for pseudo-Anosov.  The growth
+verdict is a heuristic pA, not a certificate: stabilised exponential
+growth of i(w^n(c), c) together with an empty invariant-multicurve
+search, which does not exclude a reducible class with a pseudo-Anosov
+piece.  The classifier runs the cheap exact screens first and returns
+the first verdict found; ``Unknown`` is an honest first-class outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional
 
 from . import curves, homology
 from .curves import CurveCoordinates, MappingClassWord
 from .engine.system import get_system
 from .errors import IntersectionUnsupportedError
-from .surface import GeneratorSet, Surface, humphries_generators
+from .surface import Surface
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,10 @@ Verdict = Periodic | Reducible | PseudoAnosov | Unknown
 
 @dataclass(frozen=True)
 class Budgets:
-    max_order: Optional[int] = None  # default 4g + 2
     search_bound: int = 1
     iterations: int = 14
     threshold: Fraction = Fraction(1, 20)
     stabilization: Fraction = Fraction(1, 100)
-
-    def order_bound(self, genus: int) -> int:
-        return self.max_order if self.max_order is not None else 4 * genus + 2
 
 
 @dataclass(frozen=True)
@@ -69,41 +66,36 @@ class GrowthReport:
     verdict: bool
 
 
-def periodic_order(w: MappingClassWord, max_order: Optional[int] = None) -> Optional[int]:
-    """Least n <= max_order with w^n the identity, else None.
+def periodic_order(w: MappingClassWord) -> Optional[int]:
+    """The order of w if w is periodic, else None; an exact decision.
 
-    The homology matrix prescreens candidate orders (w^n = 1 forces
-    M^n = I), so the exact battery test runs only at plausible n.
+    A periodic class acts faithfully on H_1 (Serre's lemma), so its order
+    is that of its homology matrix M, and on a closed genus-g surface it
+    is at most 4g + 2 (Wiman's bound).  The powers of M are walked up to
+    4g + 2.  A power with |trace| > 2g has an eigenvalue off the unit
+    circle, so M has infinite order; at the first n with M^n = I, one
+    identity test of w^n decides.
     """
     genus = w.genus
-    bound = max_order if max_order is not None else 4 * genus + 2
     matrix = w.homology_matrix
-    ident = power = homology.SymplecticMatrix.identity(2 * genus)
-    candidates = []
-    for n in range(1, bound + 1):
-        power = power * matrix
+    ident = homology.SymplecticMatrix.identity(2 * genus)
+    power = matrix
+    for n in range(1, 4 * genus + 3):
         if power == ident:
-            candidates.append(n)
-    if not candidates:
-        return None
-    system = get_system(genus)
-    probe = system.chain_vectors[0]
-    images = {0: probe}
-    cur = probe
-    for n in range(1, bound + 1):
-        cur = system.apply_word(w.letters, cur)
-        images[n] = cur
-    for n in candidates:
-        if images[n] != probe:
-            continue
-        power = MappingClassWord.make(genus, tuple(w.letters) * n)
-        if curves.alexander_identity_test(power):
-            return n
+            wn = w if n == 1 else MappingClassWord.make(genus, w.letters * n)
+            return n if curves.alexander_identity_test(wn) else None
+        if abs(power.trace()) > 2 * genus:
+            return None
+        power = power * matrix
     return None
 
 
-def _candidate_curves(genus: int, search_bound: int, cap: int = 128) -> list[CurveCoordinates]:
-    """Curated curves plus images under short words, deterministically."""
+@lru_cache(maxsize=None)
+def _candidate_curves(
+    genus: int, search_bound: int, cap: int = 128
+) -> tuple[CurveCoordinates, ...]:
+    """Curated curves plus images under short words, deterministically;
+    built once per argument tuple."""
     s = Surface(genus, 0)
     base = curves.chain_curves(s)
     out = list(base)
@@ -124,9 +116,9 @@ def _candidate_curves(genus: int, search_bound: int, cap: int = 128) -> list[Cur
                             out.append(img)
                             next_frontier.append((img.transport[0], img))
                         if len(out) >= cap:
-                            return out
+                            return tuple(out)
             frontier = next_frontier
-    return out
+    return tuple(out)
 
 
 def find_invariant_multicurve(
@@ -143,9 +135,7 @@ def find_invariant_multicurve(
         raise ValueError("search_bound must be at least 1")
     genus = w.genus
     orbit_cap = max(4, 2 * search_bound)
-    size_cap = 64 * max(
-        sum(c.vector) for c in curves.chain_curves(Surface(genus, 0))
-    )
+    size_cap = 64 * max(map(sum, get_system(genus).chain_vectors))
     for cand in _candidate_curves(genus, search_bound):
         orbit = [cand]
         vectors = {cand.vector: 0}
@@ -202,6 +192,10 @@ def growth_certificate(
 ) -> GrowthReport:
     """Exact intersection-growth report for i(w^n(c), c).
 
+    Each iteration applies w to the coordinate vector of w^(n-1)(c) and
+    reads the intersection with c = t(c_k) through c's transport t, as
+    the coordinate over c_k of t^-1 w^n(c).
+
     ``verdict`` is a heuristic pseudo-Anosov signal: the ratios of the
     exact sequence stabilise above 1 + threshold.  A reducible class with
     a pseudo-Anosov piece also grows exponentially, so ``classify``
@@ -210,13 +204,20 @@ def growth_certificate(
     """
     if iterations < 4:
         raise ValueError("need at least four iterations")
-    if not c.transportable:
-        raise IntersectionUnsupportedError("growth curve must be transportable")
+    if w.genus != c.genus:
+        raise ValueError("genus mismatch")
+    if not c.transportable or c.cover_type != "pair":
+        raise IntersectionUnsupportedError(
+            "growth curve must be a transportable pair curve"
+        )
+    system = get_system(w.genus)
+    (letters, k) = c.transport
+    back = MappingClassWord(w.genus, letters).inverse().letters
     seq = []
-    cur = c
+    vec = c.vector
     for _n in range(iterations):
-        cur = curves.twist_action(w, cur)
-        seq.append(curves.intersection(cur, c))
+        vec = system.apply_word(w.letters, vec)
+        seq.append(system.chain_intersection(system.apply_word(back, vec), k))
     ratios = tuple(
         Fraction(seq[i + 1], seq[i]) for i in range(len(seq) - 1) if seq[i] != 0
     )
@@ -240,19 +241,21 @@ def classify(w: MappingClassWord, budgets: Budgets = Budgets()) -> Verdict:
     """First certificate among periodic, homology-pA, Penner-form and
     reducible, then the heuristic growth-pA; else Unknown.
 
-    Sound certificates are mutually exclusive, so their order is a cost
-    choice, not a semantic one: the cheap exact screens (periodic
-    prescreen, characteristic polynomial, Penner form) run before the
+    The periodic verdict is exact, not a budgeted search: by Serre's
+    lemma and Wiman's 4g + 2 bound, ``periodic_order`` decides
+    periodicity from the homology matrix's powers and one identity test,
+    so a word that is not ``Periodic`` is not periodic.  Sound
+    certificates are mutually exclusive, so their order is a cost
+    choice, not a semantic one: the cheap exact screens (periodic order,
+    characteristic polynomial, Penner form) run before the
     invariant-multicurve search, which applies the word to every
     candidate curve.  The growth heuristic runs last, because its
     verdict needs that search to have come up empty.
     """
-    genus = w.genus
-    order = periodic_order(w, budgets.order_bound(genus))
+    order = periodic_order(w)
     if order is not None:
         return Periodic(order)
-    gs = humphries_generators(Surface(genus, 0))
-    cert = homology.casson_bleiler_certificate(w, gs)
+    cert = homology.casson_bleiler_certificate(w)
     if cert.certified:
         return PseudoAnosov("homology")
     if penner_form(w):
@@ -260,7 +263,7 @@ def classify(w: MappingClassWord, budgets: Budgets = Budgets()) -> Verdict:
     multicurve = find_invariant_multicurve(w, budgets.search_bound)
     if multicurve is not None:
         return Reducible(multicurve)
-    basepoint = curves.chain_curves(Surface(genus, 0))[0]
+    basepoint = curves.chain_curves(Surface(w.genus, 0))[0]
     report = growth_certificate(
         w,
         basepoint,

@@ -2,9 +2,9 @@
 
 Distances in the curve graph are reported as certified bound pairs:
 exact values for distances 0 and 1, a lower bound of 2 whenever the
-curves intersect, a lower bound of 3 for curated certified-filling
-pairs, and the standard logarithmic upper bound 2 + 2*log2(i) for
-intersecting curves (imported, not tight; tagged in the certificates).
+curves intersect, and the standard logarithmic upper bound
+2 + 2*log2(i) for intersecting curves (imported, not tight; tagged in
+the certificates).
 
 Word-metric questions are decided exactly by ball enumeration over a
 generator set, with group elements identified by the keys of their
@@ -51,42 +51,7 @@ def distance_bounds(a: CurveCoordinates, b: CurveCoordinates) -> DistanceBounds:
     i = curves.intersection(a, b)
     if i == 0:
         return DistanceBounds(1, 1, ("disjoint",))
-    tags = ["intersecting", LOG_BOUND_TAG]
-    lower = 2
-    key = frozenset(((a.vector, a.cover_type), (b.vector, b.cover_type)))
-    if key in _filling_pair_keys(a.genus):
-        lower = 3
-        tags.insert(1, "certified-filling-pair")
-    return DistanceBounds(lower, _log_upper(i), tuple(tags))
-
-
-@lru_cache(maxsize=None)
-def curated_filling_pairs(
-    genus: int,
-) -> tuple[tuple[CurveCoordinates, CurveCoordinates], ...]:
-    """Curve pairs certified to fill the surface (currently none).
-
-    A sound filling certificate for a pair needs a joint minimal-position
-    analysis of the complement; the available one-sided tools cannot
-    supply it.  Homology certificates are structurally useless here:
-    any word in two twists acts trivially on the symplectic complement
-    of the two curve classes, so its characteristic polynomial always
-    carries a (x-1)^(2g-2) factor and is never irreducible.  The growth
-    certificate is heuristic, and the classical pseudo-Anosov
-    constructions all take filling as a hypothesis rather than
-    certifying it.  Rather than issue unsound distance-3 lower bounds,
-    the curated list stays empty and generic intersecting pairs get the
-    certified lower bound 2.
-    """
-    return ()
-
-
-@lru_cache(maxsize=None)
-def _filling_pair_keys(genus: int) -> frozenset:
-    return frozenset(
-        frozenset(((a.vector, a.cover_type), (b.vector, b.cover_type)))
-        for (a, b) in curated_filling_pairs(genus)
-    )
+    return DistanceBounds(2, _log_upper(i), ("intersecting", LOG_BOUND_TAG))
 
 
 def basepoint(genus: int) -> CurveCoordinates:

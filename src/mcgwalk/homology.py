@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import UnknownCurveError
-from .surface import GeneratorSet
 
 
 @dataclass(frozen=True)
@@ -38,6 +37,9 @@ class SymplecticMatrix:
         return SymplecticMatrix(
             tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
         )
+
+    def trace(self) -> int:
+        return sum(row[i] for i, row in enumerate(self.entries))
 
     def is_identity(self) -> bool:
         return self == SymplecticMatrix.identity(self.dimension)
@@ -175,18 +177,6 @@ def chain_word_matrix(g: int, letters: Sequence[tuple[int, int]]) -> SymplecticM
     return SymplecticMatrix(tuple(map(tuple, rows)))
 
 
-def word_to_matrix(w, gs: GeneratorSet) -> SymplecticMatrix:
-    """Homology action of a word over a generator set's chain letters."""
-    g = gs.surface.genus
-    if w.genus != g:
-        raise ValueError("word and generator set disagree on the surface")
-    limit = 2 * g + 1
-    for (k, _sign) in w.letters:
-        if not 1 <= k <= limit:
-            raise UnknownCurveError(f"letter c_{k} not in the generator set")
-    return w.homology_matrix
-
-
 # -- polynomials -----------------------------------------------------------
 
 
@@ -236,11 +226,10 @@ def char_poly(m: SymplecticMatrix) -> IntPolynomial:
     Integer-preserving: every division below is exact.
     """
     dim = m.dimension
-    ident = SymplecticMatrix.identity(dim)
     coeffs = [0] * (dim + 1)
     coeffs[dim] = 1
     n_mat = m
-    c = -sum(n_mat.entries[i][i] for i in range(dim))
+    c = -n_mat.trace()
     coeffs[dim - 1] = c
     for step in range(2, dim + 1):
         shifted = SymplecticMatrix(
@@ -250,7 +239,7 @@ def char_poly(m: SymplecticMatrix) -> IntPolynomial:
             )
         )
         n_mat = m * shifted
-        tr = sum(n_mat.entries[i][i] for i in range(dim))
+        tr = n_mat.trace()
         assert tr % step == 0
         c = -tr // step
         coeffs[dim - step] = c
@@ -380,9 +369,10 @@ class HomologyCertificate:
         return self.verdict == "CertifiedPA"
 
 
-def casson_bleiler_certificate(w, gs: GeneratorSet) -> HomologyCertificate:
-    """One-sided pseudo-Anosov certificate from the homology action."""
-    q = char_poly(word_to_matrix(w, gs))
+def casson_bleiler_certificate(w) -> HomologyCertificate:
+    """One-sided pseudo-Anosov certificate from the homology action of
+    the word w (its ``homology_matrix``)."""
+    q = char_poly(w.homology_matrix)
     if not is_irreducible(q):
         return HomologyCertificate("Inconclusive", q, "reducible")
     if is_cyclotomic(q):

@@ -120,17 +120,17 @@ def humphries_generators(s: Surface) -> GeneratorSet:
         )
         for k in range(1, m + 1)
     )
-    return GeneratorSet(s, records, _chain_intersection_matrix(s))
+    return GeneratorSet(s, records, _intersection_table(s, records))
 
 
-def _chain_intersection_matrix(s: Surface) -> tuple[tuple[int, ...], ...]:
+def _intersection_table(
+    s: Surface, records: tuple[GeneratorRecord, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Pairwise geometric intersection numbers of the records' curves."""
     from . import curves  # deferred: curves imports engine machinery
 
-    refs = curves.chain_curves(s)
-    m = len(refs)
-    return tuple(
-        tuple(curves.intersection(refs[i], refs[j]) for j in range(m)) for i in range(m)
-    )
+    refs = [curves.curve_for_id(s, r.curve) for r in records]
+    return tuple(tuple(curves.intersection(a, b) for b in refs) for a in refs)
 
 
 def separating_word(s: Surface, j: int) -> tuple[tuple[int, int], ...]:
@@ -175,22 +175,9 @@ def torelli_generators(s: Surface, pair_budget: int) -> GeneratorSet:
             raise AssertionError(f"curated Torelli word {label} is not homology-trivial")
         records.append(GeneratorRecord(label, cid, TWIST_DIRECTION, word))
     records = tuple(records)
-    from . import curves
-
-    refs = [curves.curve_for_id(s, r.curve) for r in records]
-    m = len(records)
-    matrix = tuple(
-        tuple(curves.intersection(refs[i], refs[j]) for j in range(m)) for i in range(m)
-    )
-    return GeneratorSet(s, records, matrix)
+    return GeneratorSet(s, records, _intersection_table(s, records))
 
 
 def intersection_matrix(gs: GeneratorSet) -> tuple[tuple[int, ...], ...]:
     """Pairwise geometric intersection numbers of the generator curves."""
-    from . import curves
-
-    refs = [curves.curve_for_id(gs.surface, g.curve) for g in gs.generators]
-    m = len(refs)
-    return tuple(
-        tuple(curves.intersection(refs[i], refs[j]) for j in range(m)) for i in range(m)
-    )
+    return _intersection_table(gs.surface, gs.generators)

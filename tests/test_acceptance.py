@@ -139,7 +139,7 @@ def test_supplementary_chain_relations_as_they_hold():
     and (T1 T2 T3 T4)^5 is the hyperelliptic involution (order two,
     -identity on homology)."""
     rotation = _word(2, ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1)))
-    assert classify.periodic_order(rotation, max_order=10) == 6
+    assert classify.periodic_order(rotation) == 6
 
     hyper = _word(2, ((1, 1), (2, 1), (3, 1), (4, 1)) * 5)
     m = homology.chain_word_matrix(2, hyper.letters)

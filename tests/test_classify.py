@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from mcgwalk import classify, curves, homology
+from mcgwalk import classify, curves, homology, surface, walk
 from mcgwalk.classify import (
-    Budgets,
     Periodic,
     PseudoAnosov,
     Reducible,
@@ -17,7 +16,8 @@ from mcgwalk.classify import (
     classify as run_classify,
 )
 from mcgwalk.curves import MappingClassWord, twist_word
-from mcgwalk.surface import Surface
+from mcgwalk.engine.system import TwistSystem, get_system
+from mcgwalk.surface import Surface, torelli_generators
 
 S2 = Surface(2, 0)
 
@@ -36,7 +36,7 @@ def test_periodic_order_of_identity_and_involution():
 
 def test_twists_are_not_periodic():
     assert classify.periodic_order(twist_word(2, 1)) is None
-    assert classify.periodic_order(twist_word(2, 3, 2), max_order=20) is None
+    assert classify.periodic_order(twist_word(2, 3, 2)) is None
 
 
 def test_single_twist_is_reducible_with_its_curve():
@@ -130,13 +130,6 @@ def test_classifier_on_known_examples():
     assert run_classify(cb_word) == PseudoAnosov("homology")
 
 
-def test_classifier_budgets():
-    budgets = Budgets(max_order=3)
-    assert budgets.order_bound(2) == 3
-    assert Budgets().order_bound(2) == 10
-    assert Budgets().order_bound(3) == 14
-
-
 def test_verdicts_never_conflict_on_random_words():
     """Sound certificates are mutually exclusive: a certified verdict
     must be stable when the other checks run first."""
@@ -169,3 +162,149 @@ def test_growth_threshold_is_respected():
     c1 = curves.chain_curves(S2)[0]
     strict = classify.growth_certificate(w, c1, threshold=Fraction(10))
     assert not strict.verdict
+
+
+def _periodic_order_reference(w: MappingClassWord):
+    """The former all-candidates search: every n <= 4g + 2 with M^n = I is
+    a candidate, the first chain curve's images screen the candidates,
+    and the identity test of w^n decides the least survivor."""
+    genus = w.genus
+    bound = 4 * genus + 2
+    ident = power = homology.SymplecticMatrix.identity(2 * genus)
+    candidates = []
+    for n in range(1, bound + 1):
+        power = power * w.homology_matrix
+        if power == ident:
+            candidates.append(n)
+    if not candidates:
+        return None
+    system = get_system(genus)
+    images = [system.chain_vectors[0]]
+    for _n in range(bound):
+        images.append(system.apply_word(w.letters, images[-1]))
+    for n in candidates:
+        if images[n] == images[0] and curves.alexander_identity_test(
+            MappingClassWord.make(genus, w.letters * n)
+        ):
+            return n
+    return None
+
+
+def _random_letters(rng, genus, length):
+    return tuple(
+        (rng.randrange(1, 2 * genus + 2), rng.choice((1, -1))) for _ in range(length)
+    )
+
+
+def _chain(length):
+    return tuple((k, 1) for k in range(1, length + 1))
+
+
+def _periodic_order_cases():
+    """Random words, conjugates and powers of the chain rotations, genus-2
+    Torelli locations, and the chain-relation words of criterion 2."""
+    rng = random.Random(61)
+    cases = []
+    for genus in (2, 3):
+        odd = 2 * genus + 1
+        roots = (
+            _chain(odd),  # order 2g + 2
+            _chain(2 * genus),  # order 4g + 2
+            _chain(odd) + _chain(odd)[::-1],  # the hyperelliptic involution
+        )
+        for _trial in range(120):
+            letters = _random_letters(rng, genus, rng.randrange(0, 11))
+            cases.append(MappingClassWord.make(genus, letters))
+        for root in roots:
+            for k in range(1, 4):
+                u = MappingClassWord.make(
+                    genus, _random_letters(rng, genus, rng.randrange(0, 4))
+                )
+                r = MappingClassWord.make(genus, root * k)
+                cases.append(u * r * u.inverse())
+                cases.append(r * twist_word(genus, rng.randrange(1, odd + 1)))
+        cases.append(MappingClassWord.make(genus, _chain(2 * genus) * odd))  # E
+        cases.append(MappingClassWord.make(genus, roots[2]))  # P
+        cases.append(MappingClassWord.make(genus, _chain(odd) * (odd + 1)))  # = 1
+    mu = walk.make_step_distribution(torelli_generators(S2, 4))
+    for index in range(4):
+        path = walk.sample_path(mu, 4, walk.sample_seed(5, index))
+        cases.extend(path.location(n) for n in range(1, 5))
+    return cases
+
+
+def test_periodic_order_matches_the_all_candidates_search():
+    cases = _periodic_order_cases()
+    assert len(cases) >= 200
+    orders = [classify.periodic_order(w) for w in cases]
+    assert orders == [_periodic_order_reference(w) for w in cases]
+    # the cases reach every kind of answer
+    assert {None, 1, 2, 6, 8, 10, 14} <= set(orders)
+
+
+def test_growth_sequence_is_the_intersection_of_powers():
+    rng = random.Random(62)
+    for genus in (2, 3):
+        chain = curves.chain_curves(Surface(genus, 0))
+        moved = [
+            curves.twist_action(
+                MappingClassWord.make(genus, _random_letters(rng, genus, 3)), c
+            )
+            for c in chain[:3]
+        ]
+        for c in chain + moved:
+            w = MappingClassWord.make(genus, _random_letters(rng, genus, 5))
+            report = classify.growth_certificate(w, c, iterations=5)
+            powers = [MappingClassWord.make(genus, w.letters * n) for n in range(1, 6)]
+            expected = tuple(
+                curves.intersection(curves.twist_action(wn, c), c) for wn in powers
+            )
+            assert report.sequence == expected
+
+
+def test_classify_builds_no_generator_set(monkeypatch):
+    def refuse(s):
+        raise AssertionError("classify built a generator set")
+
+    monkeypatch.setattr(surface, "humphries_generators", refuse)
+    # classify may hold its own binding of the function
+    monkeypatch.setattr(classify, "humphries_generators", refuse, raising=False)
+    assert run_classify(_word(())) == Periodic(1)
+    homology_pa = _word(((1, 1), (2, -1), (3, 1), (4, -1)))
+    assert run_classify(homology_pa) == PseudoAnosov("homology")
+    penner = _word(((1, 1), (2, -1), (3, 1), (4, -1), (5, 1)))
+    assert run_classify(penner) == PseudoAnosov("penner_form")
+    assert isinstance(run_classify(twist_word(2, 1, 3)), Reducible)
+    growth = run_classify(_word(((5, 1), (5, 1), (1, 1), (4, -1), (2, -1))))
+    assert isinstance(growth, PseudoAnosov) and growth.source == "growth"
+
+
+def test_torelli_periodic_screen_is_one_battery_pass(monkeypatch):
+    mu = walk.make_step_distribution(torelli_generators(S2, 4))
+    w = walk.sample_path(mu, 5, walk.sample_seed(3, 0)).location(5)
+    assert w.homology_matrix.is_identity()
+    calls = []
+    inside = [False]
+    apply_word = TwistSystem.apply_word
+    screen = classify.periodic_order
+
+    def counting_apply(self, letters, vec):
+        if inside[0]:
+            calls.append((tuple(letters), tuple(vec)))
+        return apply_word(self, letters, vec)
+
+    def tracked_screen(*args):
+        inside[0] = True
+        try:
+            return screen(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(TwistSystem, "apply_word", counting_apply)
+    monkeypatch.setattr(classify, "periodic_order", tracked_screen)
+    verdict = run_classify(w)
+    assert not isinstance(verdict, Periodic)
+    battery = get_system(2).edge_battery
+    assert 1 <= len(calls) <= len(battery)
+    assert all(letters == w.letters for (letters, _vec) in calls)
+    assert [vec for (_letters, vec) in calls] == list(battery[: len(calls)])

@@ -174,10 +174,3 @@ def test_horoball_membership_and_monotonicity():
             if cg.horoball_member(X, level, y):
                 assert cg.horoball_member(bigger, level, y)
 
-
-def test_curated_filling_pairs_currently_empty():
-    # sound filling certification needs complement analysis that is out
-    # of scope, so no distance-3 lower bounds are issued
-    assert cg.curated_filling_pairs(2) == ()
-    chain = curves.chain_curves(S2)
-    assert cg.distance_bounds(chain[0], chain[1]).lower <= 2

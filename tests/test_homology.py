@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mcgwalk import homology
 from mcgwalk.curves import MappingClassWord
 from mcgwalk.homology import IntPolynomial, SymplecticMatrix
-from mcgwalk.surface import Surface, humphries_generators
 
 
 def _random_word(rng: random.Random, genus: int, length: int) -> MappingClassWord:
@@ -233,24 +232,17 @@ def test_power_substitution():
 
 
 def test_casson_bleiler_certificate_goldens():
-    gs = humphries_generators(Surface(2, 0))
     certified = MappingClassWord.make(2, ((1, 1), (2, -1), (3, 1), (4, -1)))
-    cert = homology.casson_bleiler_certificate(certified, gs)
+    cert = homology.casson_bleiler_certificate(certified)
     assert cert.certified
     assert list(cert.char_poly.coeffs) == [1, -7, 13, -7, 1]
 
     # two twists act trivially on the complement of their span, so the
     # characteristic polynomial carries a (x-1)^2 factor
     pair = MappingClassWord.make(2, ((1, 1), (2, 1)))
-    cert = homology.casson_bleiler_certificate(pair, gs)
+    cert = homology.casson_bleiler_certificate(pair)
     assert not cert.certified
     assert cert.failed_subtest == "reducible"
 
     ident = MappingClassWord.make(2, ())
-    assert not homology.casson_bleiler_certificate(ident, gs).certified
-
-
-def test_word_to_matrix_uses_generator_words():
-    gs = humphries_generators(Surface(2, 0))
-    w = MappingClassWord.make(2, ((2, 1), (3, -1)))
-    assert homology.word_to_matrix(w, gs) == homology.chain_word_matrix(2, w.letters)
+    assert not homology.casson_bleiler_certificate(ident).certified

@@ -90,6 +90,7 @@ def test_torelli_intersection_matrix_golden():
         (4, 4, 0, 4),
         (0, 4, 4, 0),
     )
+    assert intersection_matrix(gs) == gs.intersection_matrix
 
 
 def test_torelli_pair_budget_truncates():
