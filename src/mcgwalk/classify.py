@@ -126,32 +126,34 @@ def find_invariant_multicurve(
 ) -> Optional[tuple[CurveCoordinates, ...]]:
     """A set-wise invariant multicurve from curated candidates, or None.
 
-    For each candidate the w-orbit is followed; if it closes within the
-    bound and the orbit curves are pairwise disjoint, the orbit is a
-    verified set-wise invariant multicurve.  None is not a proof of
-    irreducibility.
+    For each candidate the w-orbit is followed on coordinate vectors; if
+    it closes within the bound and the orbit curves are pairwise
+    disjoint, the orbit is a verified set-wise invariant multicurve.
+    None is not a proof of irreducibility.
     """
     if search_bound < 1:
         raise ValueError("search_bound must be at least 1")
     genus = w.genus
+    system = get_system(genus)
     orbit_cap = max(4, 2 * search_bound)
-    size_cap = 64 * max(map(sum, get_system(genus).chain_vectors))
+    size_cap = 64 * max(map(sum, system.chain_vectors))
     for cand in _candidate_curves(genus, search_bound):
-        orbit = [cand]
         vectors = {cand.vector: 0}
-        cur = cand
+        vec = cand.vector
         closed = False
         for _step in range(orbit_cap):
-            cur = curves.twist_action(w, cur)
-            if cur.vector in vectors:
-                closed = vectors[cur.vector] == 0
+            vec = system.apply_word(w.letters, vec)
+            if vec in vectors:
+                closed = vectors[vec] == 0
                 break
-            if sum(cur.vector) > size_cap:
+            if sum(vec) > size_cap:
                 break
-            vectors[cur.vector] = len(orbit)
-            orbit.append(cur)
+            vectors[vec] = len(vectors)
         if not closed:
             continue
+        orbit = [cand]
+        while len(orbit) < len(vectors):
+            orbit.append(curves.twist_action(w, orbit[-1]))
         ok = True
         for i in range(len(orbit)):
             for j in range(i + 1, len(orbit)):

@@ -1,16 +1,27 @@
 """Derivation of the generator flip programs on the punctured sphere.
 
-The half twist exchanging punctures 1 and 2 is found once, by breadth
-first search over short flip sequences supported near the necklace arc
-E_1, and validated against hand-computed curve images.  All other half
-twists are conjugates by the rotation program, which re-fans the two
-necklace disks and relabels.  Everything is verified combinatorially at
-build time; nothing is trusted from memory.
+The oracle: the half twist exchanging punctures 1 and 2 is found by
+breadth first search over short flip sequences supported near the
+necklace arc E_1, and validated against hand-computed curve images.
+All other half twists are its conjugates by the rotation program, which
+re-fans the two necklace disks and relabels.  These programs are long
+(16 to 40 flips at genus 2, up to 328 at genus 5), so they only serve
+as the reference.
+
+The programs the engine runs flip the edges that ``chain_flips`` lists,
+2 to 4 per generator and 4g - 2 for the last one, at every genus.
+``chain_programs`` replays each list on the necklace triangulation,
+closes the path by matching arcs, and checks the result against the
+oracle on the whole edge battery; equal battery images mean the same
+mapping class downstairs.  The lists follow the output of
+``flip_search``, a bidirectional search in the flip graph modulo edge
+labels; nothing at run time searches, and no list is trusted unchecked.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .triangulation import (
     FlipProgram,
@@ -138,20 +149,24 @@ def half_twist_search(n: int, max_flips: int = 6) -> tuple[FlipProgram, str]:
 
     Breadth first over flip sequences confined to the seven edges
     meeting the support disk, closed up by an isomorphism that swaps
-    punctures 1 and 2 and fixes every other puncture.
+    punctures 1 and 2 and fixes every other puncture.  Puncture degrees
+    are tracked along the way, and a closing isomorphism is sought only
+    where they match the base triangulation's under that swap.
     """
     base = necklace_triangulation(n)
     local = _local_edges(n)
     vertex_map = list(range(n))
     vertex_map[1], vertex_map[2] = 2, 1
     start = base.copy()
-    frontier: list[tuple[SphereTriangulation, list[tuple[int, int, int, int, int]]]] = [
-        (start, [])
-    ]
+    degrees = [0] * n
+    for u in start.start:
+        degrees[u] += 1
+    target = [degrees[vertex_map[u]] for u in range(n)]
+    frontier: list[tuple[SphereTriangulation, list, list[int]]] = [(start, [], degrees)]
     seen = {start.key()}
     for _depth in range(max_flips):
         next_frontier = []
-        for (tri, steps) in frontier:
+        for (tri, steps, degrees) in frontier:
             for e in local:
                 if not tri.is_flippable(e):
                     continue
@@ -162,11 +177,198 @@ def half_twist_search(n: int, max_flips: int = 6) -> tuple[FlipProgram, str]:
                     continue
                 seen.add(k)
                 path = steps + [step]
-                prog = _program_from_path(n, path, t2, vertex_map, base)
-                if prog is not None:
-                    tag = _candidate_is_half_twist(n, prog)
-                    if tag is not None:
-                        return prog, tag
-                next_frontier.append((t2, path))
+                deg2 = list(degrees)
+                for u in tri.endpoints(e):
+                    deg2[u] -= 1
+                for u in t2.endpoints(e):
+                    deg2[u] += 1
+                if deg2 == target:
+                    prog = _program_from_path(n, path, t2, vertex_map, base)
+                    if prog is not None:
+                        tag = _candidate_is_half_twist(n, prog)
+                        if tag is not None:
+                            return prog, tag
+                next_frontier.append((t2, path, deg2))
         frontier = next_frontier
     raise RuntimeError("half twist not found within the flip budget")
+
+
+def oracle_programs(n: int) -> list[FlipProgram]:
+    """The oracle programs of sigma_1 .. sigma_{n-1}: the searched half
+    twist about E_1 and its conjugates by the rotation."""
+    sigma1, _chirality = half_twist_search(n)
+    rho = rotation_program(n)
+    rho_inv = rho.inverse()
+    raw = [sigma1] * (n - 1)
+    for i in range(2, n - 1):
+        raw[i] = rho.then(raw[i - 1]).then(rho_inv)
+    raw[0] = rho_inv.then(sigma1).then(rho)
+    return raw
+
+
+# -- short programs ------------------------------------------------------
+
+
+def chain_flips(n: int, k: int) -> tuple[int, ...]:
+    """Flipped edge ids of the short program of sigma_k, 1 <= k <= n - 1.
+
+    With E_i the necklace arcs and D_j, O_j the inner and outer fan
+    diagonals: sigma_k flips D_{k-1}, E_{k-2} (when k >= 2) and then
+    O_k, E_k (when k <= n - 3), 2 to 4 flips.  sigma_{n-1}, the half
+    twist about the arc E_{n-2} at the fan apex, flips the outer fan
+    O_{n-3} .. O_1, the arc E_{n-1} and the inner fan D_1 .. D_{n-4},
+    2n - 6 flips.  At genus 2 and 3 these are exactly what
+    ``flip_search`` returns (max_flips 8; 10 for the genus-3 sigma_7,
+    about 8 s); above, the same patterns continue.  ``chain_programs``
+    checks every one against its oracle whenever a system is built.
+    """
+    E = lambda i: necklace_edge(i, n)
+    D = lambda j: inner_edge(j, n)
+    O = lambda j: outer_edge(j, n)
+    if k == n - 1:
+        return (
+            tuple(O(j) for j in range(n - 3, 0, -1))
+            + (E(n - 1),)
+            + tuple(D(j) for j in range(1, n - 3))
+        )
+    edges: tuple[int, ...] = ()
+    if k >= 2:
+        edges += (D(k - 1), E(k - 2))
+    if k <= n - 3:
+        edges += (O(k), E(k))
+    return edges
+
+
+Columns = tuple[tuple[int, ...], ...]
+
+
+def _columns(vectors: Sequence[Sequence[int]]) -> Columns:
+    """Column f of the vectors: the intersections of arc f with each curve."""
+    return tuple(zip(*vectors))
+
+
+def _flip_columns(cols: Columns, step: tuple[int, int, int, int, int]) -> Columns:
+    """The columns after the flip ``step``; only column e changes."""
+    (e, a, b, c, d) = step
+    new = tuple(
+        max(xa + xc, xb + xd) - xe
+        for (xe, xa, xb, xc, xd) in zip(cols[e], cols[a], cols[b], cols[c], cols[d])
+    )
+    return cols[:e] + (new,) + cols[e + 1 :]
+
+
+def _edge_cycles(tri: SphereTriangulation) -> set[tuple[int, int, int]]:
+    """Every triangle's edges in counterclockwise order, in all rotations."""
+    nxt = tri.nxt
+    return {(d >> 1, nxt[d] >> 1, nxt[nxt[d]] >> 1) for d in range(len(nxt))}
+
+
+@lru_cache(maxsize=None)
+def edge_battery(n: int) -> tuple[tuple[int, ...], ...]:
+    """The pair curves of the necklace triangulation's edges."""
+    base = necklace_triangulation(n)
+    return tuple(base.pair_curve(e) for e in range(base.n_edges))
+
+
+def close_flip_path(
+    n: int, edges: Sequence[int], images: Sequence[Sequence[int]]
+) -> Optional[FlipProgram]:
+    """The program flipping ``edges`` on the necklace triangulation, closed
+    by the relabelling that matches arc columns, or None.
+
+    ``images`` are a mapping class's images of the edge battery.  The
+    arc of the end state whose column over the battery equals column e
+    of ``images`` is the preimage of edge e, so it gets label e, and the
+    program maps the edge battery to ``images`` exactly.  None when an
+    edge is not flippable, when the columns do not match one to one, or
+    when the relabelling is not an isomorphism of triangulations.
+    """
+    tri = necklace_triangulation(n)
+    size = tri.n_edges
+    steps = []
+    for e in edges:
+        if not 0 <= e < size or not tri.is_flippable(e):
+            return None
+        steps.append(tri.flip(e))
+    path = FlipProgram(size, tuple(steps), tuple(range(size)))
+    label = {col: e for (e, col) in enumerate(_columns(images))}
+    perm = tuple(label.get(col, -1) for col in _columns([path.apply(v) for v in edge_battery(n)]))
+    if len(label) != size or sorted(perm) != list(range(size)):
+        return None
+    moved = {tuple(perm[x] for x in cyc) for cyc in _edge_cycles(tri)}
+    if moved != _edge_cycles(necklace_triangulation(n)):
+        return None
+    return FlipProgram(size, tuple(steps), perm)
+
+
+def chain_programs(n: int) -> list[FlipProgram]:
+    """The programs of sigma_1 .. sigma_{n-1} flipping ``chain_flips``,
+    each closed against its oracle program's images of the edge battery,
+    so equal to the oracle there; RuntimeError if the flips do not close."""
+    programs = []
+    for (k, oracle) in enumerate(oracle_programs(n), start=1):
+        edges = chain_flips(n, k)
+        prog = close_flip_path(n, edges, [oracle.apply(v) for v in edge_battery(n)])
+        if prog is None:
+            raise RuntimeError(f"flips {edges} do not realise sigma_{k}")
+        programs.append(prog)
+    return programs
+
+
+def flip_search(oracle: FlipProgram, max_flips: int) -> Optional[tuple[int, ...]]:
+    """Flipped edge ids realising the mapping class of ``oracle`` in at
+    most ``max_flips`` flips, or None.
+
+    Bidirectional breadth-first search in the flip graph modulo edge
+    labels.  Forward states start at the necklace triangulation with the
+    edge battery's columns, backward states with the columns of the
+    oracle's battery images (the arcs of the preimage of the necklace
+    triangulation), and each state is keyed by the set of its columns.
+    Where the two sides meet, the backward flips are replayed in reverse
+    through the relabelling that matches columns; the joined paths are
+    tried shortest first and kept only if they close into a program
+    equal to the oracle on the edge battery.  Deterministic; for
+    maintainers and tests, never run by ``get_system``.
+    """
+    n = (oracle.size + 6) // 3
+    battery = edge_battery(n)
+    images = [oracle.apply(v) for v in battery]
+    base = necklace_triangulation(n)
+    seen: list[dict] = []
+    frontiers: list[list] = []
+    for vectors in (battery, images):
+        cols = _columns(vectors)
+        seen.append({frozenset(cols): (base, cols, ())})
+        frontiers.append([(base, cols, ())])
+
+    def joined(fwd, bwd) -> tuple[int, ...]:
+        slot = {col: f for (f, col) in enumerate(fwd[1])}
+        return fwd[2] + tuple(slot[bwd[1][g]] for g in reversed(bwd[2]))
+
+    if close_flip_path(n, (), images) is not None:
+        return ()
+    for _depth in range(max_flips):
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        found = []
+        nxt = []
+        for (tri, cols, path) in frontiers[side]:
+            for e in range(base.n_edges):
+                if not tri.is_flippable(e):
+                    continue
+                t2 = tri.copy()
+                cols2 = _flip_columns(cols, t2.flip(e))
+                key = frozenset(cols2)
+                if key in seen[side]:
+                    continue
+                state = (t2, cols2, path + (e,))
+                seen[side][key] = state
+                nxt.append(state)
+                other = seen[1 - side].get(key)
+                if other is not None:
+                    pair = (state, other) if side == 0 else (other, state)
+                    found.append(joined(*pair))
+        for edges in sorted(found, key=len):
+            if close_flip_path(n, edges, images) is not None:
+                return edges
+        frontiers[side] = nxt
+    return None

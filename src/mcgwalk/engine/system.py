@@ -13,6 +13,12 @@ every edge of the reference triangulation (fixing each such curve fixes
 the spanned arc, and a mapping class fixing every edge of an ideal
 triangulation is trivial); upstairs this leaves only the ambiguity of
 the deck involution, which the homology action (-I) resolves.
+
+Each generator runs a short flip program from ``build.chain_flips``
+(2 to 4 flips, 4g - 2 for sigma_{2g+1}), checked when the system is
+built against its oracle, the searched half twist or one of its
+rotation conjugates, on the whole edge battery.  A word acts by one
+replay of its flattened program.
 """
 
 from __future__ import annotations
@@ -22,36 +28,36 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import kernel
-from .build import half_twist_search, rotation_program
+from .build import chain_programs, edge_battery
 from .triangulation import FlipProgram, necklace_triangulation
 
 Letter = tuple[int, int]  # (generator index, sign); index is 1-based
+
+# Flattened word programs kept per system (least recently used evicted).
+# Most reuse is short-range (one word over the edge battery or an orbit),
+# but the exact convolutions come back to a word after a few others: with
+# 16 entries every benchmark workload misses at most 15% more often than
+# with 64, with 2 the exact convolutions miss 8 times as often.
+_WORD_CACHE = 16
 
 
 class CompiledProgram:
     """A flip program flattened for the replay kernel."""
 
-    __slots__ = ("size", "_steps", "_perm", "n_flips")
+    __slots__ = ("size", "steps", "perm", "n_flips")
 
-    def __init__(self, prog: FlipProgram):
-        self.size = prog.size
-        flat: list[int] = []
-        for step in prog.steps:
-            flat.extend(step)
-        self._steps = array("l", flat)
-        self._perm = array("l", prog.perm)
-        self.n_flips = len(prog.steps)
+    def __init__(self, size: int, steps: Sequence[int], perm: Sequence[int]):
+        self.size = size
+        self.steps = array("l", steps)
+        self.perm = array("l", perm)
+        self.n_flips = len(steps) // 5
 
-    @property
-    def steps(self):
-        return self._steps
-
-    @property
-    def perm(self):
-        return self._perm
+    @staticmethod
+    def of(prog: FlipProgram) -> "CompiledProgram":
+        return CompiledProgram(prog.size, [x for step in prog.steps for x in step], prog.perm)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return kernel.replay(vec, self._steps, self._perm)
+        return kernel.replay(vec, self.steps, self.perm)
 
 
 class TwistSystem:
@@ -66,30 +72,26 @@ class TwistSystem:
         self.base = base
         self.n_edges = base.n_edges
 
-        sigma1, chirality = half_twist_search(n)
-        rho = rotation_program(n)
-        rho_inv = rho.inverse()
-        self.chirality = chirality
-
-        raw = [FlipProgram.identity(base.n_edges)] * (n - 1)
-        raw[1] = sigma1
-        for i in range(2, n - 1):
-            raw[i] = rho.then(raw[i - 1]).then(rho_inv)
-        raw[0] = rho_inv.then(sigma1).then(rho)
-        self._raw = raw
-
+        raw = chain_programs(n)
         # positive and negative program per generator, 1-based index
-        self._pos = [None] + [CompiledProgram(p) for p in raw]
-        self._neg = [None] + [CompiledProgram(p.inverse()) for p in raw]
+        self._pos = [None] + [CompiledProgram.of(p) for p in raw]
+        self._neg = [None] + [CompiledProgram.of(p.inverse()) for p in raw]
+        # per letter, the flat steps and the inverse relabelling, which is
+        # the relabelling of the inverse program; compile_word threads it
+        # through a word
+        self._letters = {}
+        for k in range(1, n):
+            pos, neg = self._pos[k], self._neg[k]
+            self._letters[(k, 1)] = (tuple(pos.steps), tuple(neg.perm))
+            self._letters[(k, -1)] = (tuple(neg.steps), tuple(pos.perm))
+        self._compiled = lru_cache(maxsize=_WORD_CACHE)(self._flatten)
 
         # chain curve k lives over the necklace arc E_{k-1}, whose pair
         # curve has edge id k-1 as its coordinate slot for intersections
         self.chain_vectors: tuple[tuple[int, ...], ...] = tuple(
             base.pair_curve(i) for i in range(n - 1)
         )
-        self.edge_battery: tuple[tuple[int, ...], ...] = tuple(
-            base.pair_curve(e) for e in range(base.n_edges)
-        )
+        self.edge_battery: tuple[tuple[int, ...], ...] = edge_battery(n)
         for k, vec in enumerate(self.chain_vectors):
             img = self._pos[k + 1].apply(vec)
             if img != vec:
@@ -103,18 +105,30 @@ class TwistSystem:
         return self._pos[index] if sign > 0 else self._neg[index]
 
     def apply_word(self, letters: Sequence[Letter], vec: Sequence[int]) -> tuple[int, ...]:
-        """Act by the word s_1 s_2 ... s_m under the convention ab(x) = a(b(x))."""
-        for (index, sign) in reversed(letters):
-            vec = self.program(index, sign).apply(vec)
-        return vec
+        """Act by the word s_1 s_2 ... s_m under the convention ab(x) = a(b(x)):
+        one replay of the word's flattened program."""
+        return self._compiled(tuple(letters)).apply(vec)
 
     def compile_word(self, letters: Sequence[Letter]) -> CompiledProgram:
-        """Flatten a whole word into a single replayable program."""
-        prog = FlipProgram.identity(self.n_edges)
-        for (index, sign) in reversed(letters):
-            step = self._raw[index - 1]
-            prog = prog.then(step if sign > 0 else step.inverse())
-        return CompiledProgram(prog)
+        """The whole word as one replayable program, cached per system and
+        shared between callers, which must not modify it."""
+        return self._compiled(tuple(letters))
+
+    def _flatten(self, letters: tuple[Letter, ...]) -> CompiledProgram:
+        """Concatenate the letters' steps, last letter first, each relabelled
+        through the running inverse relabelling: linear in flips plus
+        letters times edges."""
+        inv = list(range(self.n_edges))  # output index -> slot of the running state
+        steps: list[int] = []
+        parts = self._letters
+        for letter in reversed(letters):
+            (flat, letter_inv) = parts[letter]
+            steps.extend([inv[x] for x in flat])
+            inv = [inv[x] for x in letter_inv]
+        perm = [0] * self.n_edges
+        for (g, f) in enumerate(inv):
+            perm[f] = g
+        return CompiledProgram(self.n_edges, steps, perm)
 
     # -- exact queries -------------------------------------------------
 

@@ -18,7 +18,9 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
+import os
 import random
 import statistics
 import sys
@@ -26,7 +28,6 @@ import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Optional
 
 from . import classify, curve_graph, curves, walk
@@ -128,6 +129,7 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
     return sorted(out)
 
 
+@lru_cache(maxsize=8)
 def config_hash(cfg: ExperimentConfig) -> str:
     digest = hashlib.sha256("\n".join(config_lines(cfg)).encode()).hexdigest()
     return digest[:12]
@@ -816,25 +818,36 @@ class ExperimentReport:
     elapsed: float
 
 
+def _write_file(path: str, text: str) -> None:
+    """Create or truncate ``path`` and write ``text`` to it as UTF-8."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     validate_config(cfg)
     start = time.monotonic()
     result = _RUNNERS[cfg.experiment](cfg)
     records, rows, columns = result.records, result.rows, result.columns
     chash = config_hash(cfg)
-    out_path = Path(cfg.out_dir) / cfg.experiment / chash
-    out_path.mkdir(parents=True, exist_ok=True)
-    with open(out_path / "samples.jsonl", "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
-    with open(out_path / "aggregate.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
-    with open(out_path / "plot.dat", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(result.plot) + "\n")
+    out_path = os.path.join(cfg.out_dir, cfg.experiment, chash)
+    os.makedirs(out_path, exist_ok=True)
+    samples = "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records
+    )
+    table = io.StringIO(newline="")
+    writer = csv.writer(table)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([row[c] for c in columns])
+    _write_file(os.path.join(out_path, "samples.jsonl"), samples)
+    _write_file(os.path.join(out_path, "aggregate.csv"), table.getvalue())
+    _write_file(os.path.join(out_path, "plot.dat"), "\n".join(result.plot) + "\n")
     elapsed = time.monotonic() - start
     header = [
         f"experiment: {cfg.experiment}",
@@ -843,8 +856,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         f"elapsed: {elapsed:.2f}s",
         "",
     ]
-    with open(out_path / "summary.txt", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(header + result.summary) + "\n")
+    _write_file(os.path.join(out_path, "summary.txt"), "\n".join(header + result.summary) + "\n")
     if result.failures:
         raise InvariantViolationError(
             f"{result.failures} exact-lemma checks failed; see {out_path}"

@@ -33,6 +33,7 @@ class SymplecticMatrix:
         return len(self.entries)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(dim: int) -> "SymplecticMatrix":
         return SymplecticMatrix(
             tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))

@@ -70,7 +70,7 @@ def make_step_distribution(
         support.append(w)
         support.append(w.inverse())
     if weights is None:
-        weights = [Fraction(1)] * len(gs.generators)
+        return StepDistribution(tuple(support), (Fraction(1, len(support)),) * len(support))
     if len(weights) != len(gs.generators):
         raise ValueError("need one weight per generator")
     weights = [Fraction(w) for w in weights]

@@ -57,6 +57,84 @@ def test_find_invariant_multicurve_on_commuting_twists():
         classify.find_invariant_multicurve(w, search_bound=0)
 
 
+def _twist_action_multicurve(w, search_bound):
+    """The multicurve search as it was, following orbits with twist_action,
+    and the number of curves past the first in the orbits that closed."""
+    genus = w.genus
+    built = 0
+    orbit_cap = max(4, 2 * search_bound)
+    size_cap = 64 * max(map(sum, get_system(genus).chain_vectors))
+    for cand in classify._candidate_curves(genus, search_bound):
+        orbit = [cand]
+        vectors = {cand.vector: 0}
+        cur = cand
+        closed = False
+        for _step in range(orbit_cap):
+            cur = curves.twist_action(w, cur)
+            if cur.vector in vectors:
+                closed = vectors[cur.vector] == 0
+                break
+            if sum(cur.vector) > size_cap:
+                break
+            vectors[cur.vector] = len(orbit)
+            orbit.append(cur)
+        if not closed:
+            continue
+        built += len(orbit) - 1
+        if all(
+            curves.intersection(orbit[i], orbit[j]) == 0
+            for i in range(len(orbit))
+            for j in range(i + 1, len(orbit))
+        ):
+            return (tuple(orbit), built)
+    return (None, built)
+
+
+def test_multicurve_search_matches_the_twist_action_orbits(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for genus in (2, 3):
+        m = 2 * genus + 1
+        rotation = tuple((k, 1) for k in range(1, m + 1))
+        cases += [
+            MappingClassWord.make(genus, rotation),
+            MappingClassWord.make(genus, rotation[:-1] * (2 * genus + 1)),
+            MappingClassWord.make(genus, ((1, 1), (3, -1), (m, 1))),
+        ]
+        for _trial in range(25):
+            u = tuple((rng.randrange(1, m + 1), rng.choice((1, -1))) for _ in range(3))
+            t = ((rng.randrange(1, m + 1), rng.choice((1, -1))),) * rng.randrange(1, 3)
+            inv = tuple((k, -s) for (k, s) in reversed(u))
+            cases.append(MappingClassWord.make(genus, u + t + inv))
+            length = rng.randrange(1, 9)
+            cases.append(
+                MappingClassWord.make(
+                    genus,
+                    tuple((rng.randrange(1, m + 1), rng.choice((1, -1))) for _ in range(length)),
+                )
+            )
+    calls = [0]
+    twist_action = curves.twist_action
+
+    def counting(w, c):
+        calls[0] += 1
+        return twist_action(w, c)
+
+    sizes = []
+    for w in cases:
+        for bound in (1, 2):
+            (expected, built) = _twist_action_multicurve(w, bound)
+            monkeypatch.setattr(curves, "twist_action", counting)
+            calls[0] = 0
+            found = classify.find_invariant_multicurve(w, bound)
+            monkeypatch.setattr(curves, "twist_action", twist_action)
+            assert found == expected
+            # curves are built only for orbits that closed
+            assert calls[0] == built
+            sizes.append(0 if found is None else len(found))
+    assert 0 in sizes and 1 in sizes and max(sizes) >= 2
+
+
 def test_penner_form_detection():
     assert classify.penner_form(_word(((1, 1), (2, -1), (3, 1), (4, -1), (5, 1))))
     # wrong sign on an even twist

@@ -6,8 +6,14 @@ import random
 
 import pytest
 
-from mcgwalk.engine import kernel, kernel_py
-from mcgwalk.engine.build import half_twist_search, rotation_program
+from mcgwalk.engine import build, kernel, kernel_py
+from mcgwalk.engine.build import (
+    chain_flips,
+    flip_search,
+    half_twist_search,
+    oracle_programs,
+    rotation_program,
+)
 from mcgwalk.engine.system import get_system
 from mcgwalk.engine.triangulation import (
     FlipProgram,
@@ -161,3 +167,115 @@ def test_compiled_and_python_kernels_agree():
 def test_flip_program_identity_roundtrip():
     prog = FlipProgram.identity(12)
     assert prog.apply(list(range(12))) == tuple(range(12))
+
+
+def _random_word(rng, genus, length):
+    m = 2 * genus + 1
+    return tuple((rng.randrange(1, m + 1), rng.choice((1, -1))) for _ in range(length))
+
+
+def _as_flip_program(prog):
+    """A compiled program as the FlipProgram it flattens."""
+    steps = prog.steps
+    return FlipProgram(
+        prog.size,
+        tuple(tuple(steps[i : i + 5]) for i in range(0, len(steps), 5)),
+        tuple(prog.perm),
+    )
+
+
+def _table(n):
+    return tuple(chain_flips(n, k) for k in range(1, n))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6, 7, 8])
+def test_short_programs_equal_their_oracles_on_the_battery(genus):
+    system = get_system(genus)
+    oracle = oracle_programs(system.n)
+    table = _table(system.n)
+    assert len(table) == len(oracle) == 2 * genus + 1
+    for k in range(1, 2 * genus + 2):
+        prog = system.program(k, 1)
+        assert prog.n_flips == len(table[k - 1]) <= len(oracle[k - 1].steps)
+        for vec in system.edge_battery:
+            assert prog.apply(vec) == oracle[k - 1].apply(vec)
+            assert system.program(k, -1).apply(vec) == oracle[k - 1].inverse().apply(vec)
+    # about 3.5 flips per letter instead of 18 at genus 2
+    assert max(map(len, table[:-1])) <= 4 and len(table[-1]) == 4 * genus - 2
+
+
+def test_search_reproduces_the_genus_2_flips():
+    oracle = oracle_programs(6)
+    assert tuple(flip_search(p, 8) for p in oracle) == _table(6)
+
+
+def test_search_gives_none_below_the_shortest_program():
+    # sigma_5 at genus 2 needs 6 flips
+    assert flip_search(oracle_programs(6)[4], 5) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_corrupted_flips_fail_the_build(monkeypatch, k):
+    def corrupted(n, j):
+        edges = chain_flips(n, j)
+        return edges if j != k else edges[:-1] + ((edges[-1] + 1) % 12,)
+
+    monkeypatch.setattr(build, "chain_flips", corrupted)
+    with pytest.raises(RuntimeError):
+        get_system.__wrapped__(2)
+
+
+def test_close_flip_path_rejects_a_wrong_class():
+    # sigma_1's flips closed against sigma_2's battery images match no arcs
+    oracle = oracle_programs(6)
+    images = [oracle[1].apply(v) for v in get_system(2).edge_battery]
+    assert build.close_flip_path(6, chain_flips(6, 1), images) is None
+    assert build.close_flip_path(6, chain_flips(6, 2), images) is not None
+
+
+def test_close_flip_path_rejects_a_relabelling_that_is_no_isomorphism():
+    # swapping the coordinates of E_0 and D_1 matches columns one to one,
+    # but no mapping class relabels the necklace triangulation that way
+    swap = list(range(12))
+    swap[0], swap[6] = 6, 0
+    images = [tuple(v[swap[e]] for e in range(12)) for v in get_system(2).edge_battery]
+    assert build.close_flip_path(6, (), images) is None
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_apply_word_equals_the_per_letter_replay(genus):
+    system = get_system(genus)
+    rng = random.Random(100 + genus)
+    battery = system.edge_battery
+    words = [()] + [_random_word(rng, genus, rng.randrange(1, 40)) for _ in range(70)]
+    words += [_random_word(rng, genus, 500 + rng.randrange(100)) for _ in range(2)]
+    for word in words:
+        # a sum of admissible vectors is admissible
+        (a, b) = rng.sample(battery, 2)
+        for vec in (battery[0], [x + y for (x, y) in zip(a, b)]):
+            expected = tuple(vec)
+            for (k, s) in reversed(word):
+                expected = system.program(k, s).apply(expected)
+            assert system.apply_word(word, vec) == expected
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_compile_word_equals_the_then_fold(genus):
+    system = get_system(genus)
+    rng = random.Random(genus)
+    words = [(), ((1, 1),), ((2, -1), (2, -1))]
+    words += [_random_word(rng, genus, rng.randrange(1, 60)) for _ in range(30)]
+    for word in words:
+        # the quadratic reference: fold the letter programs with then
+        ref = FlipProgram.identity(system.n_edges)
+        for (k, s) in reversed(word):
+            ref = ref.then(_as_flip_program(system.program(k, s)))
+        prog = system.compile_word(word)
+        assert prog.n_flips == sum(system.program(k, s).n_flips for (k, s) in word)
+        assert _as_flip_program(prog) == ref
+
+
+def test_compile_word_is_cached_per_letters():
+    system = get_system(2)
+    word = ((1, 1), (3, -1), (5, 1))
+    assert system.compile_word(word) is system.compile_word(list(word))
