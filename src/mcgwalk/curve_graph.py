@@ -15,7 +15,7 @@ there is no approximate fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from . import curves, homology
@@ -93,7 +93,11 @@ class FiniteElementSet:
         return len(self.words)
 
     def __contains__(self, w: MappingClassWord) -> bool:
-        return curves.canonical_key(w) in set(self.keys)
+        return curves.canonical_key(w) in self._key_set
+
+    @cached_property
+    def _key_set(self) -> frozenset:
+        return frozenset(self.keys)
 
 
 def _signed_generator_words(gs: GeneratorSet) -> list[tuple[tuple[int, int], ...]]:

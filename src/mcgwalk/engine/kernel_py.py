@@ -14,10 +14,10 @@ def replay(vec, steps, perm):
     sends slot f of the final state to output index perm[f].
     """
     v = list(vec)
-    for i in range(0, len(steps), 5):
-        e = steps[i]
-        s = v[steps[i + 1]] + v[steps[i + 3]]
-        t = v[steps[i + 2]] + v[steps[i + 4]]
+    it = iter(steps)
+    for (e, a, b, c, d) in zip(it, it, it, it, it):
+        s = v[a] + v[c]
+        t = v[b] + v[d]
         v[e] = (s if s >= t else t) - v[e]
     out = [0] * len(v)
     for f, g in enumerate(perm):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcgwalk.engine import build, kernel, kernel_py
 from mcgwalk.engine.build import (
@@ -14,12 +16,14 @@ from mcgwalk.engine.build import (
     oracle_programs,
     rotation_program,
 )
-from mcgwalk.engine.system import get_system
+from mcgwalk.engine.system import CompiledProgram, cancel_flips, get_system
 from mcgwalk.engine.triangulation import (
     FlipProgram,
     necklace_edge,
     necklace_triangulation,
 )
+from mcgwalk.surface import Surface, separating_word, torelli_generators
+from mcgwalk.walk import make_step_distribution, sample_path
 
 
 def _random_admissible(tri, rng, scale=6):
@@ -174,14 +178,13 @@ def _random_word(rng, genus, length):
     return tuple((rng.randrange(1, m + 1), rng.choice((1, -1))) for _ in range(length))
 
 
+def _quads(steps):
+    return tuple(tuple(steps[i : i + 5]) for i in range(0, len(steps), 5))
+
+
 def _as_flip_program(prog):
     """A compiled program as the FlipProgram it flattens."""
-    steps = prog.steps
-    return FlipProgram(
-        prog.size,
-        tuple(tuple(steps[i : i + 5]) for i in range(0, len(steps), 5)),
-        tuple(prog.perm),
-    )
+    return FlipProgram(prog.size, _quads(prog.steps), tuple(prog.perm))
 
 
 def _table(n):
@@ -270,12 +273,107 @@ def test_compile_word_equals_the_then_fold(genus):
         ref = FlipProgram.identity(system.n_edges)
         for (k, s) in reversed(word):
             ref = ref.then(_as_flip_program(system.program(k, s)))
-        prog = system.compile_word(word)
-        assert prog.n_flips == sum(system.program(k, s).n_flips for (k, s) in word)
-        assert _as_flip_program(prog) == ref
+        (steps, perm) = system.concatenate(word)
+        concat = CompiledProgram(system.n_edges, steps, perm)
+        assert concat.n_flips == sum(system.program(k, s).n_flips for (k, s) in word)
+        assert _as_flip_program(concat) == ref
 
 
 def test_compile_word_is_cached_per_letters():
     system = get_system(2)
     word = ((1, 1), (3, -1), (5, 1))
     assert system.compile_word(word) is system.compile_word(list(word))
+
+
+# -- inverse flip pairs ---------------------------------------------------
+
+_SLOTS = 6
+
+
+@st.composite
+def _step_lists(draw):
+    """Flat flip steps over a few slots, drawn from a small pool of steps in
+    varied orientations, so that inverse pairs and steps between them that
+    block or do not block a cancellation are common."""
+    slot = st.integers(0, _SLOTS - 1)
+    pool = draw(st.lists(st.tuples(slot, slot, slot, slot, slot), min_size=1, max_size=4))
+    picks = st.tuples(st.integers(0, len(pool) - 1), st.booleans(), st.booleans())
+    steps = []
+    for (k, swap_ac, swap_sides) in draw(st.lists(picks, max_size=24)):
+        (e, a, b, c, d) = pool[k]
+        if swap_ac:
+            (a, c) = (c, a)
+        if swap_sides:
+            (a, b, c, d) = (b, a, d, c)
+        steps += [e, a, b, c, d]
+    return steps
+
+
+@given(
+    _step_lists(),
+    st.lists(st.integers(0, 2**70), min_size=_SLOTS, max_size=_SLOTS),
+    st.permutations(range(_SLOTS)),
+)
+# slot 0 is flipped twice around a step that reads it
+@example([0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5], list(range(6)))
+# slot 0 is flipped twice around a step that writes one of its sides
+@example([0, 1, 2, 3, 4, 1, 2, 3, 4, 5, 0, 3, 4, 1, 2], [0, 1, 2, 3, 4, 5], list(range(6)))
+@settings(max_examples=300, deadline=None)
+def test_cancelled_steps_replay_as_the_steps(steps, vec, perm):
+    assert kernel_py.replay(vec, cancel_flips(steps), perm) == kernel_py.replay(vec, steps, perm)
+
+
+def test_cancel_flips_on_small_cases():
+    # the same sides in the other order cancel
+    assert cancel_flips([0, 1, 2, 3, 4, 0, 3, 4, 1, 2]) == []
+    # a flip that reads its own slot is never cancelled
+    steps = [0, 0, 1, 2, 3] * 2
+    assert cancel_flips(steps) == steps
+
+
+def _is_subsequence(short, long):
+    it = iter(long)
+    return all(x in it for x in short)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_compile_word_cancels_a_subsequence_of_the_concatenation(genus):
+    system = get_system(genus)
+    rng = random.Random(20 + genus)
+    for _trial in range(40):
+        word = _random_word(rng, genus, rng.randrange(1, 120))
+        (steps, perm) = system.concatenate(word)
+        prog = system.compile_word(word)
+        assert _is_subsequence(_quads(prog.steps), _quads(steps))
+        assert list(prog.perm) == perm
+        assert prog.n_flips <= len(steps) // 5
+
+
+@pytest.mark.parametrize(
+    ("genus", "flips"),
+    [
+        (2, (14, 26, 14, 26)),
+        (3, (14, 26, 26, 26, 14, 50)),
+        (4, (14, 26, 26, 26, 26, 26, 14, 74)),
+    ],
+)
+def test_separating_twists_run_the_cancelled_flips(genus, flips):
+    system = get_system(genus)
+    words = [separating_word(Surface(genus, 0), j) for j in range(1, 2 * genus + 1)]
+    # concatenated, (sigma_j sigma_{j+1})^6 runs 36 or 48 flips, 24g for j = 2g
+    assert tuple(system.compile_word(w).n_flips for w in words) == flips
+    for w in words:
+        (steps, perm) = system.concatenate(w)
+        for vec in system.edge_battery:
+            assert system.apply_word(w, vec) == kernel_py.replay(vec, steps, perm)
+
+
+def test_torelli_walk_word_runs_the_cancelled_flips():
+    # a fixed genus-2 Torelli walk location: a later change must not drop
+    # the cancellation silently
+    mu = make_step_distribution(torelli_generators(Surface(2, 0), 4))
+    word = sample_path(mu, 40, 1).location(40).letters
+    system = get_system(2)
+    assert len(word) == 288
+    assert len(system.concatenate(word)[0]) // 5 == 972
+    assert system.compile_word(word).n_flips == 428
