@@ -80,10 +80,6 @@ class MappingClassWord:
         )
 
 
-def empty_word(genus: int) -> MappingClassWord:
-    return MappingClassWord.make(genus, ())
-
-
 def twist_word(genus: int, index: int, power: int = 1) -> MappingClassWord:
     sign = 1 if power > 0 else -1
     return MappingClassWord.make(genus, ((index, sign),) * abs(power))
@@ -111,10 +107,6 @@ class CurveCoordinates:
         return self.transport is not None
 
 
-def _system(genus: int) -> TwistSystem:
-    return get_system(genus)
-
-
 def _require_closed(s: Surface) -> None:
     if not s.full_support:
         raise UnsupportedSurfaceError(f"need a closed surface of genus >= 2, got {s}")
@@ -123,7 +115,7 @@ def _require_closed(s: Surface) -> None:
 def chain_curves(s: Surface) -> list[CurveCoordinates]:
     """The chain curves c_1 .. c_{2g+1} with golden coordinate vectors."""
     _require_closed(s)
-    system = _system(s.genus)
+    system = get_system(s.genus)
     return [
         CurveCoordinates(
             genus=s.genus,
@@ -136,7 +128,7 @@ def chain_curves(s: Surface) -> list[CurveCoordinates]:
 
 def _separating_vector(genus: int, j: int) -> tuple[int, ...]:
     """Quotient coordinates of s_j: the curve around branch punctures j-1..j+1."""
-    system = _system(genus)
+    system = get_system(genus)
     base = system.base
     enclosed = {j - 1, j, j + 1}
     vec = [0] * base.n_edges
@@ -174,7 +166,7 @@ def twist_action(w: MappingClassWord, c: CurveCoordinates) -> CurveCoordinates:
     """Coordinates of w(c), exact, convention ab(x) = a(b(x))."""
     if w.genus != c.genus:
         raise ValueError("genus mismatch")
-    system = _system(c.genus)
+    system = get_system(c.genus)
     vector = system.apply_word(w.letters, c.vector)
     transport = None
     if c.transport is not None:
@@ -190,7 +182,7 @@ def _reference_intersection(
     system: TwistSystem, k: int, other_vector: tuple[int, ...], other_type: str
 ) -> int:
     """i(c_k, other) upstairs from downstairs coordinates."""
-    w = other_vector[k - 1]
+    w = system.chain_intersection(other_vector, k)
     # pair curves meet c_k in half the downstairs number (= the edge
     # coordinate); double curves meet it in the full downstairs number.
     return w if other_type == "pair" else 2 * w
@@ -205,7 +197,7 @@ def intersection(a: CurveCoordinates, b: CurveCoordinates) -> int:
         raise ValueError("genus mismatch")
     if a.vector == b.vector and a.cover_type == b.cover_type:
         return 0
-    system = _system(a.genus)
+    system = get_system(a.genus)
     candidates = [c for c in (a, b) if c.transport is not None and c.cover_type == "pair"]
     if not candidates:
         return _untransportable_intersection(a, b)
@@ -274,7 +266,7 @@ def alexander_identity_test(w: MappingClassWord) -> bool:
     covering involution; the homology matrix distinguishes the two (the
     involution acts as -identity).
     """
-    system = _system(w.genus)
+    system = get_system(w.genus)
     if not system.fixes_battery(w.letters):
         return False
     return w.homology_matrix.is_identity()
@@ -295,7 +287,7 @@ class ElementState:
     @staticmethod
     def identity(genus: int) -> "ElementState":
         return ElementState(
-            _system(genus).edge_battery, homology.SymplecticMatrix.identity(2 * genus)
+            get_system(genus).edge_battery, homology.SymplecticMatrix.identity(2 * genus)
         )
 
     @property
@@ -308,7 +300,7 @@ class ElementState:
     ) -> "ElementState":
         """The state of s*g, for g this state and s the word ``letters``
         whose homology matrix is ``matrix``."""
-        apply_word = _system(self.matrix.dimension // 2).apply_word
+        apply_word = get_system(self.matrix.dimension // 2).apply_word
         return ElementState(
             tuple(apply_word(letters, v) for v in self.images), matrix * self.matrix
         )
@@ -316,7 +308,7 @@ class ElementState:
 
 def element_state(w: MappingClassWord) -> ElementState:
     """The exact state of the mapping class of w."""
-    system = _system(w.genus)
+    system = get_system(w.genus)
     return ElementState(
         tuple(system.apply_word(w.letters, v) for v in system.edge_battery),
         w.homology_matrix,

@@ -21,6 +21,7 @@ labels; nothing at run time searches, and no list is trusted unchecked.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Optional, Sequence
 
 from .triangulation import (
@@ -35,7 +36,7 @@ from .triangulation import (
 
 def _program_from_path(
     n: int,
-    steps: list[tuple[int, int, int, int, int]],
+    steps: Sequence[tuple[int, int, int, int, int]],
     end: SphereTriangulation,
     vertex_map: list[int],
     base: Optional[SphereTriangulation] = None,
@@ -49,8 +50,8 @@ def _program_from_path(
     if base is None:
         base = necklace_triangulation(n)
     for m in end.isomorphisms_to(base, vertex_map):
-        perm = tuple(m[2 * e] >> 1 for e in range(end.n_edges))
-        return FlipProgram(end.n_edges, tuple(steps), perm)
+        perm = (m[2 * e] >> 1 for e in range(end.n_edges))
+        return FlipProgram(end.n_edges, chain.from_iterable(steps), perm)
     return None
 
 
@@ -285,12 +286,12 @@ def close_flip_path(
     """
     tri = necklace_triangulation(n)
     size = tri.n_edges
-    steps = []
+    steps: list[int] = []
     for e in edges:
         if not 0 <= e < size or not tri.is_flippable(e):
             return None
-        steps.append(tri.flip(e))
-    path = FlipProgram(size, tuple(steps), tuple(range(size)))
+        steps.extend(tri.flip(e))
+    path = FlipProgram(size, steps, range(size))
     label = {col: e for (e, col) in enumerate(_columns(images))}
     perm = tuple(label.get(col, -1) for col in _columns([path.apply(v) for v in edge_battery(n)]))
     if len(label) != size or sorted(perm) != list(range(size)):
@@ -298,7 +299,7 @@ def close_flip_path(
     moved = {tuple(perm[x] for x in cyc) for cyc in _edge_cycles(tri)}
     if moved != _edge_cycles(necklace_triangulation(n)):
         return None
-    return FlipProgram(size, tuple(steps), perm)
+    return FlipProgram(size, path.steps, perm)
 
 
 def chain_programs(n: int) -> list[FlipProgram]:

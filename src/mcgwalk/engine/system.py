@@ -1,4 +1,4 @@
-"""Per-genus twist systems: compiled generator programs and curve tables.
+"""Per-genus twist systems: one flip program per letter, and curve tables.
 
 A closed genus-g surface is presented as the double cover of the sphere
 with n = 2g + 2 punctures, branched over the punctures.  The chain-twist
@@ -17,23 +17,23 @@ the deck involution, which the homology action (-I) resolves.
 Each generator runs a short flip program from ``build.chain_flips``
 (2 to 4 flips, 4g - 2 for sigma_{2g+1}), checked when the system is
 built against its oracle, the searched half twist or one of its
-rotation conjugates, on the whole edge battery.  A word acts by one
-replay of its cancelled program: the letters' steps are concatenated,
-and ``cancel_flips`` deletes every pair of steps that undo each other,
-which the concatenation leaves in numbers (a genus-2 separating twist
+rotation conjugates, on the whole edge battery.  The system keeps one
+table, ``programs``, of each letter's ``FlipProgram``; a word is a
+``FlipProgram`` too, and acts by one kernel replay of its cancelled
+steps: the letters' steps are concatenated, and ``cancel_flips``
+deletes every pair of steps that undo each other, which the
+concatenation leaves in numbers (a genus-2 separating twist
 (sigma_j sigma_{j+1})^6 keeps 14 or 26 of its 36 or 48 flips).
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from itertools import compress
 from typing import Sequence
 
-from . import kernel
 from .build import chain_programs, edge_battery
-from .triangulation import FlipProgram, necklace_triangulation
+from .triangulation import FlipProgram, invert_perm, necklace_triangulation
 
 Letter = tuple[int, int]  # (generator index, sign); index is 1-based
 
@@ -92,25 +92,6 @@ def cancel_flips(steps: Sequence[int]) -> list[int]:
     return list(compress(steps, keep))
 
 
-class CompiledProgram:
-    """A flip program flattened for the replay kernel."""
-
-    __slots__ = ("size", "steps", "perm", "n_flips")
-
-    def __init__(self, size: int, steps: Sequence[int], perm: Sequence[int]):
-        self.size = size
-        self.steps = array("l", steps)
-        self.perm = array("l", perm)
-        self.n_flips = len(steps) // 5
-
-    @staticmethod
-    def of(prog: FlipProgram) -> "CompiledProgram":
-        return CompiledProgram(prog.size, [x for step in prog.steps for x in step], prog.perm)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return kernel.replay(vec, self.steps, self.perm)
-
-
 class TwistSystem:
     """All exact actions for the chain generators of one closed surface."""
 
@@ -123,18 +104,11 @@ class TwistSystem:
         self.base = base
         self.n_edges = base.n_edges
 
-        raw = chain_programs(n)
-        # positive and negative program per generator, 1-based index
-        self._pos = [None] + [CompiledProgram.of(p) for p in raw]
-        self._neg = [None] + [CompiledProgram.of(p.inverse()) for p in raw]
-        # per letter, the flat steps and the inverse relabelling, which is
-        # the relabelling of the inverse program; compile_word threads it
-        # through a word
-        self._letters = {}
-        for k in range(1, n):
-            pos, neg = self._pos[k], self._neg[k]
-            self._letters[(k, 1)] = (tuple(pos.steps), tuple(neg.perm))
-            self._letters[(k, -1)] = (tuple(neg.steps), tuple(pos.perm))
+        # the program of each letter (k, +-1), generator index k 1-based
+        self.programs: dict[Letter, FlipProgram] = {}
+        for (k, prog) in enumerate(chain_programs(n), start=1):
+            self.programs[k, 1] = prog
+            self.programs[k, -1] = prog.inverse()
         self._compiled = lru_cache(maxsize=_WORD_CACHE)(self._flatten)
 
         # chain curve k lives over the necklace arc E_{k-1}, whose pair
@@ -144,23 +118,21 @@ class TwistSystem:
         )
         self.edge_battery: tuple[tuple[int, ...], ...] = edge_battery(n)
         for k, vec in enumerate(self.chain_vectors):
-            img = self._pos[k + 1].apply(vec)
+            img = self.programs[k + 1, 1].apply(vec)
             if img != vec:
                 raise RuntimeError("generator fails to fix its own curve")
 
     # -- actions -------------------------------------------------------
 
-    def program(self, index: int, sign: int) -> CompiledProgram:
-        if not 1 <= index <= 2 * self.genus + 1:
-            raise KeyError(f"generator index {index} out of range")
-        return self._pos[index] if sign > 0 else self._neg[index]
+    def program(self, index: int, sign: int) -> FlipProgram:
+        return self.programs[index, 1 if sign > 0 else -1]
 
     def apply_word(self, letters: Sequence[Letter], vec: Sequence[int]) -> tuple[int, ...]:
         """Act by the word s_1 s_2 ... s_m under the convention ab(x) = a(b(x)):
         one replay of the word's flattened program."""
         return self._compiled(tuple(letters)).apply(vec)
 
-    def compile_word(self, letters: Sequence[Letter]) -> CompiledProgram:
+    def compile_word(self, letters: Sequence[Letter]) -> FlipProgram:
         """The whole word as one replayable program, its inverse flip pairs
         cancelled, cached per system and shared between callers, which must
         not modify it."""
@@ -170,22 +142,19 @@ class TwistSystem:
         """The flat steps and relabelling of the letters' programs joined
         end to end, before cancellation: last letter first, each relabelled
         through the running inverse relabelling; linear in flips plus
-        letters times edges."""
+        letters times edges.  The inverse relabelling of a letter is the
+        relabelling of the inverse letter's program."""
         inv = list(range(self.n_edges))  # output index -> slot of the running state
         steps: list[int] = []
-        parts = self._letters
-        for letter in reversed(letters):
-            (flat, letter_inv) = parts[letter]
-            steps.extend([inv[x] for x in flat])
-            inv = [inv[x] for x in letter_inv]
-        perm = [0] * self.n_edges
-        for (g, f) in enumerate(inv):
-            perm[f] = g
-        return (steps, perm)
+        programs = self.programs
+        for (k, s) in reversed(letters):
+            steps.extend([inv[x] for x in programs[k, s].steps])
+            inv = [inv[x] for x in programs[k, -s].perm]
+        return (steps, invert_perm(inv))
 
-    def _flatten(self, letters: tuple[Letter, ...]) -> CompiledProgram:
+    def _flatten(self, letters: tuple[Letter, ...]) -> FlipProgram:
         (steps, perm) = self.concatenate(letters)
-        return CompiledProgram(self.n_edges, cancel_flips(steps), perm)
+        return FlipProgram(self.n_edges, cancel_flips(steps), perm)
 
     # -- exact queries -------------------------------------------------
 

@@ -18,8 +18,11 @@ which is an involution, so programs invert by reversing their steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from array import array
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
+
+from . import kernel
 
 
 class SphereTriangulation:
@@ -269,63 +272,59 @@ def necklace_triangulation(n: int) -> SphereTriangulation:
     return SphereTriangulation.from_triangles(n, triangles)
 
 
-@dataclass(frozen=True)
-class FlipProgram:
-    """A straight-line coordinate action: flips then an edge relabelling.
+def invert_perm(perm: Sequence[int]) -> list[int]:
+    """The inverse permutation: inv[perm[f]] = f."""
+    inv = [0] * len(perm)
+    for (f, g) in enumerate(perm):
+        inv[g] = f
+    return inv
 
-    ``apply`` runs the max-plus flip updates in order and then permutes
-    slots so that output index ``perm[f]`` receives slot ``f``.  Programs
-    compose and invert exactly; they represent mapping classes acting on
-    normal coordinates.
+
+class FlipProgram:
+    """A straight-line coordinate action: flips, then an edge relabelling.
+
+    ``steps`` holds the flips flat, five entries (e, a, b, c, d) per
+    flip, and ``perm`` sends slot f of the final state to output index
+    ``perm[f]``; both are ``array('l')``, the layout the replay kernel
+    reads, so ``apply`` is one ``kernel.replay`` call.  Programs compose
+    and invert exactly; they represent mapping classes acting on normal
+    coordinates.  Programs are shared, so callers must not modify them.
     """
 
-    size: int
-    steps: tuple[tuple[int, int, int, int, int], ...]
-    perm: tuple[int, ...]
+    __slots__ = ("size", "steps", "perm")
+
+    def __init__(self, size: int, steps: Iterable[int], perm: Iterable[int]):
+        self.size = size
+        self.steps = array("l", steps)
+        self.perm = array("l", perm)
 
     @staticmethod
     def identity(size: int) -> "FlipProgram":
-        return FlipProgram(size, (), tuple(range(size)))
+        return FlipProgram(size, (), range(size))
+
+    @property
+    def n_flips(self) -> int:
+        return len(self.steps) // 5
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlipProgram):
+            return NotImplemented
+        return (self.size, self.steps, self.perm) == (other.size, other.steps, other.perm)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        v = list(vec)
-        for (e, a, b, c, d) in self.steps:
-            s = v[a] + v[c]
-            t = v[b] + v[d]
-            v[e] = (s if s >= t else t) - v[e]
-        out = [0] * self.size
-        perm = self.perm
-        for f in range(self.size):
-            out[perm[f]] = v[f]
-        return tuple(out)
+        return kernel.replay(vec, self.steps, self.perm)
 
     def then(self, other: "FlipProgram") -> "FlipProgram":
         """The program applying ``self`` first, then ``other``."""
         if other.size != self.size:
             raise ValueError("size mismatch")
-        inv = [0] * self.size
-        for f, g in enumerate(self.perm):
-            inv[g] = f
-        relabelled = tuple(
-            (inv[e], inv[a], inv[b], inv[c], inv[d]) for (e, a, b, c, d) in other.steps
+        relabelled = map(invert_perm(self.perm).__getitem__, other.steps)
+        return FlipProgram(
+            self.size, chain(self.steps, relabelled), map(other.perm.__getitem__, self.perm)
         )
-        perm = tuple(other.perm[g] for g in self.perm)
-        return FlipProgram(self.size, self.steps + relabelled, perm)
 
     def inverse(self) -> "FlipProgram":
-        inv = [0] * self.size
-        for f, g in enumerate(self.perm):
-            inv[g] = f
-        perm = self.perm
-        steps = tuple(
-            (perm[e], perm[a], perm[b], perm[c], perm[d])
-            for (e, a, b, c, d) in reversed(self.steps)
-        )
-        return FlipProgram(self.size, steps, tuple(inv))
-
-    def power(self, k: int) -> "FlipProgram":
-        base = self if k >= 0 else self.inverse()
-        out = FlipProgram.identity(self.size)
-        for _ in range(abs(k)):
-            out = out.then(base)
-        return out
+        """The flips in reverse order, through the relabelling, then its inverse."""
+        it = map(self.perm.__getitem__, self.steps)
+        flips = list(zip(it, it, it, it, it))
+        return FlipProgram(self.size, chain.from_iterable(reversed(flips)), invert_perm(self.perm))

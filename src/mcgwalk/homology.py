@@ -55,9 +55,6 @@ class SymplecticMatrix:
             )
         )
 
-    def __neg__(self) -> "SymplecticMatrix":
-        return SymplecticMatrix(tuple(tuple(-x for x in row) for row in self.entries))
-
     def power(self, k: int) -> "SymplecticMatrix":
         if k < 0:
             raise ValueError("negative powers not needed; invert the word instead")

@@ -16,9 +16,11 @@ order or worker count.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import lcm
 from typing import Optional, Sequence
 
@@ -53,6 +55,13 @@ class StepDistribution:
     @property
     def genus(self) -> int:
         return self.support[0].genus
+
+    @cached_property
+    def _cutoffs(self) -> tuple[int, tuple[int, ...]]:
+        """The common mass denominator D and the running sums of the
+        masses times D, strictly increasing up to D."""
+        denominator = lcm(*(m.denominator for m in self.masses))
+        return (denominator, tuple(accumulate(int(m * denominator) for m in self.masses)))
 
 
 def make_step_distribution(
@@ -116,20 +125,14 @@ def sample_path(mu: StepDistribution, n: int, seed) -> WalkSample:
     if n < 0:
         raise ValueError("length must be nonnegative")
     rng = random.Random(str(seed))
-    denominator = lcm(*(m.denominator for m in mu.masses))
-    cutoffs = []
-    acc = 0
-    for m in mu.masses:
-        acc += int(m * denominator)
-        cutoffs.append(acc)
-    assert acc == denominator
+    (denominator, cutoffs) = mu._cutoffs
     genus = mu.genus
     steps = []
     locations = []
     stack: list[curves.Letter] = []
     for _k in range(n):
         r = rng.randrange(denominator)
-        index = next(i for i, c in enumerate(cutoffs) if r < c)
+        index = bisect_right(cutoffs, r)
         steps.append(index)
         for (k, sign) in mu.support[index].letters:
             if stack and stack[-1] == (k, -sign):

@@ -16,7 +16,7 @@ from mcgwalk.engine.build import (
     oracle_programs,
     rotation_program,
 )
-from mcgwalk.engine.system import CompiledProgram, cancel_flips, get_system
+from mcgwalk.engine.system import cancel_flips, get_system
 from mcgwalk.engine.triangulation import (
     FlipProgram,
     necklace_edge,
@@ -49,8 +49,8 @@ def test_double_flip_is_identity_on_coordinates():
         if not tri.is_flippable(e):
             continue
         copy = tri.copy()
-        steps = [copy.flip(e), copy.flip(e)]
-        prog = FlipProgram(tri.n_edges, tuple(steps), tuple(range(tri.n_edges)))
+        steps = [*copy.flip(e), *copy.flip(e)]
+        prog = FlipProgram(tri.n_edges, steps, range(tri.n_edges))
         for _v in range(5):
             vec = _random_admissible(tri, rng)
             assert prog.apply(vec) == tuple(vec)
@@ -69,7 +69,9 @@ def test_flip_preserves_admissibility():
 def test_rotation_program_has_order_n():
     for n in (6, 8):
         prog = rotation_program(n)
-        power = prog.power(n)
+        power = FlipProgram.identity(prog.size)
+        for _k in range(n):
+            power = power.then(prog)
         tri = necklace_triangulation(n)
         rng = random.Random(n)
         for _trial in range(10):
@@ -91,7 +93,7 @@ def test_rotation_shifts_necklace_curves():
 
 def test_half_twist_search_is_short_and_fixes_far_curves():
     prog, chirality = half_twist_search(6)
-    assert len(prog.steps) <= 6
+    assert prog.n_flips <= 6
     assert chirality in ("inner", "outer")
     tri = necklace_triangulation(6)
     # the found half twist exchanges punctures 1 and 2; necklace arcs
@@ -182,11 +184,6 @@ def _quads(steps):
     return tuple(tuple(steps[i : i + 5]) for i in range(0, len(steps), 5))
 
 
-def _as_flip_program(prog):
-    """A compiled program as the FlipProgram it flattens."""
-    return FlipProgram(prog.size, _quads(prog.steps), tuple(prog.perm))
-
-
 def _table(n):
     return tuple(chain_flips(n, k) for k in range(1, n))
 
@@ -199,12 +196,23 @@ def test_short_programs_equal_their_oracles_on_the_battery(genus):
     assert len(table) == len(oracle) == 2 * genus + 1
     for k in range(1, 2 * genus + 2):
         prog = system.program(k, 1)
-        assert prog.n_flips == len(table[k - 1]) <= len(oracle[k - 1].steps)
+        assert prog.n_flips == len(table[k - 1]) <= oracle[k - 1].n_flips
         for vec in system.edge_battery:
             assert prog.apply(vec) == oracle[k - 1].apply(vec)
             assert system.program(k, -1).apply(vec) == oracle[k - 1].inverse().apply(vec)
     # about 3.5 flips per letter instead of 18 at genus 2
     assert max(map(len, table[:-1])) <= 4 and len(table[-1]) == 4 * genus - 2
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_programs_invert_exactly(genus):
+    system = get_system(genus)
+    programs = list(system.programs.values()) + oracle_programs(system.n)
+    assert len(programs) == 3 * (2 * genus + 1)
+    for p in programs:
+        assert p.inverse().inverse() == p
+        round_trip = p.then(p.inverse())
+        assert all(round_trip.apply(vec) == vec for vec in system.edge_battery)
 
 
 def test_search_reproduces_the_genus_2_flips():
@@ -272,11 +280,11 @@ def test_compile_word_equals_the_then_fold(genus):
         # the quadratic reference: fold the letter programs with then
         ref = FlipProgram.identity(system.n_edges)
         for (k, s) in reversed(word):
-            ref = ref.then(_as_flip_program(system.program(k, s)))
+            ref = ref.then(system.program(k, s))
         (steps, perm) = system.concatenate(word)
-        concat = CompiledProgram(system.n_edges, steps, perm)
+        concat = FlipProgram(system.n_edges, steps, perm)
         assert concat.n_flips == sum(system.program(k, s).n_flips for (k, s) in word)
-        assert _as_flip_program(concat) == ref
+        assert concat == ref
 
 
 def test_compile_word_is_cached_per_letters():
