@@ -71,22 +71,23 @@ def periodic_order(w: MappingClassWord) -> Optional[int]:
 
     A periodic class acts faithfully on H_1 (Serre's lemma), so its order
     is that of its homology matrix M, and on a closed genus-g surface it
-    is at most 4g + 2 (Wiman's bound).  The powers of M are walked up to
-    4g + 2.  A power with |trace| > 2g has an eigenvalue off the unit
-    circle, so M has infinite order; at the first n with M^n = I, one
-    identity test of w^n decides.
+    is at most 4g + 2 (Wiman's bound).  The traces p_n = tr M^n for
+    n <= 4g + 2 come from the characteristic polynomial by Newton's
+    recurrence.  A trace with |p_n| > 2g has an eigenvalue off the unit
+    circle, so M has infinite order.  At the first n with p_n = 2g, one
+    power decides: a finite-order M is diagonalisable with eigenvalues
+    of modulus one, so p_n = 2g and M^n != I mean infinite order, and
+    M^n = I leaves one identity test of w^n.
     """
     genus = w.genus
-    matrix = w.homology_matrix
-    ident = homology.SymplecticMatrix.identity(2 * genus)
-    power = matrix
-    for n in range(1, 4 * genus + 3):
-        if power == ident:
+    for n, trace in enumerate(homology.power_sums(w.char_poly, 4 * genus + 2), 1):
+        if abs(trace) > 2 * genus:
+            return None
+        if trace == 2 * genus:
+            if not w.homology_matrix.power(n).is_identity():
+                return None
             wn = w if n == 1 else MappingClassWord.make(genus, w.letters * n)
             return n if curves.alexander_identity_test(wn) else None
-        if abs(power.trace()) > 2 * genus:
-            return None
-        power = power * matrix
     return None
 
 
@@ -245,8 +246,9 @@ def classify(w: MappingClassWord, budgets: Budgets = Budgets()) -> Verdict:
 
     The periodic verdict is exact, not a budgeted search: by Serre's
     lemma and Wiman's 4g + 2 bound, ``periodic_order`` decides
-    periodicity from the homology matrix's powers and one identity test,
-    so a word that is not ``Periodic`` is not periodic.  Sound
+    periodicity from the characteristic polynomial, at most one matrix
+    power and one identity test, so a word that is not ``Periodic`` is
+    not periodic.  Sound
     certificates are mutually exclusive, so their order is a cost
     choice, not a semantic one: the cheap exact screens (periodic order,
     characteristic polynomial, Penner form) run before the

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from . import curves, homology
+from . import curves
 from .curves import CurveCoordinates, MappingClassWord
 from .errors import BudgetExceededError
 from .surface import GeneratorSet, Surface, humphries_generators
@@ -133,15 +133,14 @@ def enumerate_ball(
         raise BudgetExceededError("ball enumeration over budget", required=naive)
     genus = gs.surface.genus
     steps = _signed_generator_words(gs)
-    matrices = [homology.chain_word_matrix(genus, w) for w in steps]
     start = curves.ElementState.identity(genus)
     out: dict[tuple, tuple[int, tuple[tuple[int, int], ...]]] = {start.key: (0, ())}
     frontier = [(start, ())]
     for dist in range(1, k + 1):
         next_frontier = []
         for (state, state_word) in frontier:
-            for (letters, matrix) in zip(steps, matrices):
-                new_state = state.left_mul(letters, matrix)
+            for letters in steps:
+                new_state = state.left_mul(letters)
                 key = new_state.key
                 if key in out:
                     continue

@@ -69,6 +69,11 @@ class MappingClassWord:
         """The homology action of the word, built once per word object."""
         return homology.chain_word_matrix(self.genus, self.letters)
 
+    @cached_property
+    def char_poly(self) -> homology.IntPolynomial:
+        """The characteristic polynomial of ``homology_matrix``, built once."""
+        return homology.char_poly(self.homology_matrix)
+
     def __mul__(self, other: "MappingClassWord") -> "MappingClassWord":
         if other.genus != self.genus:
             raise ValueError("genus mismatch")
@@ -295,14 +300,13 @@ class ElementState:
         """The canonical key: (battery images, homology matrix entries)."""
         return (self.images, self.matrix.entries)
 
-    def left_mul(
-        self, letters: Sequence[Letter], matrix: homology.SymplecticMatrix
-    ) -> "ElementState":
-        """The state of s*g, for g this state and s the word ``letters``
-        whose homology matrix is ``matrix``."""
-        apply_word = get_system(self.matrix.dimension // 2).apply_word
+    def left_mul(self, letters: Sequence[Letter]) -> "ElementState":
+        """The state of s*g, for g this state and s the word ``letters``."""
+        genus = self.matrix.dimension // 2
+        apply_word = get_system(genus).apply_word
         return ElementState(
-            tuple(apply_word(letters, v) for v in self.images), matrix * self.matrix
+            tuple(apply_word(letters, v) for v in self.images),
+            homology.chain_word_times(genus, letters, self.matrix),
         )
 
 

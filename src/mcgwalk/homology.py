@@ -2,10 +2,13 @@
 
 Dehn twists act on H_1 of the surface by symplectic transvections
 x -> x + <x,[c]>[c].  A chain curve's class has one or two nonzero
-entries, so ``chain_word_matrix`` builds a word's matrix by sparse
-column updates, O(g) integer additions per letter; ``transvection_by``
-builds the dense transvection and is the reference those products are
-tested against.
+entries, so ``chain_word_matrix`` (column updates) and
+``chain_word_times`` (row updates) multiply by a word's matrix in O(g)
+integer additions per letter; ``transvection_by`` builds the dense
+transvection and is the reference those products are tested against.
+A word's matrix M is symplectic, so its characteristic polynomial is
+reciprocal and follows from tr M^k, k <= g, by Newton's identities
+(``char_poly``); ``power_sums`` runs them back to tr M^n for any n.
 A word whose characteristic polynomial is irreducible, not cyclotomic,
 and not a polynomial in t^k for k >= 2 is pseudo-Anosov (a one-sided
 certificate; the converse fails, e.g. on the Torelli group, where the
@@ -47,7 +50,6 @@ class SymplecticMatrix:
 
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         a, b = self.entries, other.entries
-        dim = len(a)
         bt = tuple(zip(*b))
         return SymplecticMatrix(
             tuple(
@@ -58,14 +60,15 @@ class SymplecticMatrix:
     def power(self, k: int) -> "SymplecticMatrix":
         if k < 0:
             raise ValueError("negative powers not needed; invert the word instead")
-        out = SymplecticMatrix.identity(self.dimension)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return SymplecticMatrix.identity(self.dimension) if out is None else out
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.entries)
@@ -175,21 +178,37 @@ def chain_word_matrix(g: int, letters: Sequence[tuple[int, int]]) -> SymplecticM
     return SymplecticMatrix(tuple(map(tuple, rows)))
 
 
+def chain_word_times(
+    g: int, letters: Sequence[tuple[int, int]], m: SymplecticMatrix
+) -> SymplecticMatrix:
+    """The product ``chain_word_matrix(g, letters) * m`` by sparse row updates.
+
+    The letters act right to left: left multiplication by
+    T = I + sign v (Jv)^T adds v_i u to row i of m, where the row
+    vector u = sign (Jv)^T m combines at most two rows of m, and v has
+    at most two nonzero entries v_i.
+    """
+    rows = list(m.entries)
+    updates = _column_updates(g)
+    for letter in reversed(letters):
+        src, dst = updates[letter]
+        (c, b), *rest = dst
+        u = [b * x for x in rows[c]]
+        for (c, b) in rest:
+            u = [y + b * x for x, y in zip(rows[c], u)]
+        for (i, a) in src:
+            rows[i] = tuple([x + a * y for x, y in zip(rows[i], u)])
+    return SymplecticMatrix(tuple(rows))
+
+
 # -- polynomials -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Coefficients low to high; normalized (no trailing zeros)."""
+    """Coefficients low to high, the last one nonzero."""
 
     coeffs: tuple[int, ...]
-
-    @staticmethod
-    def make(coeffs: Sequence[int]) -> "IntPolynomial":
-        c = list(coeffs)
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return IntPolynomial(tuple(c))
 
     @property
     def degree(self) -> int:
@@ -205,43 +224,48 @@ class IntPolynomial:
             out = out * x + c
         return out
 
-    def is_palindromic_up_to_sign(self) -> bool:
-        rev = tuple(reversed(self.coeffs))
-        neg = tuple(-c for c in rev)
-        return self.coeffs in (rev, neg)
-
-    def __str__(self) -> str:
-        terms = []
-        for e, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*t^{e}")
-        return " + ".join(terms) or "0"
-
 
 def char_poly(m: SymplecticMatrix) -> IntPolynomial:
-    """Exact characteristic polynomial by the Faddeev-LeVerrier scheme.
+    """Exact characteristic polynomial det(tI - M); M must be symplectic.
 
-    Integer-preserving: every division below is exact.
+    A symplectic M has a reciprocal polynomial, c_i = c_{2g-i}, fixed by
+    e_1 .. e_g.  Newton's identities k e_k = sum_{i<=k} (-1)^(i-1)
+    e_{k-i} p_i give those from p_k = tr M^k, k <= g, each read as
+    sum_{r,c} (M^i)_{rc} (M^j)_{cr} with i + j = k and i, j <= ceil(g/2):
+    no product at genus 2, M^2 at genus 3 and 4.  Every division is exact.
     """
     dim = m.dimension
+    g = dim // 2
+    powers = [SymplecticMatrix.identity(dim), m]  # M^0 .. M^ceil(g/2)
+    while 2 * (len(powers) - 1) < g:
+        powers.append(powers[-1] * m)
+    e = [1]
+    p = [None]
+    for k in range(1, g + 1):
+        a, b = powers[(k + 1) // 2].entries, powers[k // 2].entries
+        p.append(sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col)))
+        s = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
+        assert s % k == 0
+        e.append(s // k)
     coeffs = [0] * (dim + 1)
-    coeffs[dim] = 1
-    n_mat = m
-    c = -n_mat.trace()
-    coeffs[dim - 1] = c
-    for step in range(2, dim + 1):
-        shifted = SymplecticMatrix(
-            tuple(
-                tuple(n_mat.entries[i][j] + (c if i == j else 0) for j in range(dim))
-                for i in range(dim)
-            )
-        )
-        n_mat = m * shifted
-        tr = n_mat.trace()
-        assert tr % step == 0
-        c = -tr // step
-        coeffs[dim - step] = c
-    return IntPolynomial.make(coeffs)
+    for i in range(g + 1):
+        coeffs[i] = coeffs[dim - i] = (-1) ** i * e[i]
+    return IntPolynomial(tuple(coeffs))
+
+
+def power_sums(q: IntPolynomial, n: int) -> list[int]:
+    """The power sums p_1 .. p_n of the roots of the monic q, by Newton's
+    recurrence in integer arithmetic; for q the characteristic
+    polynomial of M, p_k = tr M^k."""
+    d = q.degree
+    c = q.coeffs
+    p: list[int] = []
+    for k in range(1, n + 1):
+        s = k * c[d - k] if k <= d else 0
+        for i in range(1, min(k - 1, d) + 1):
+            s += c[d - i] * p[k - i - 1]
+        p.append(-s)
+    return p
 
 
 def _divisors(n: int) -> list[int]:
@@ -369,8 +393,8 @@ class HomologyCertificate:
 
 def casson_bleiler_certificate(w) -> HomologyCertificate:
     """One-sided pseudo-Anosov certificate from the homology action of
-    the word w (its ``homology_matrix``)."""
-    q = char_poly(w.homology_matrix)
+    the word w (its ``char_poly``, built once per word)."""
+    q = w.char_poly
     if not is_irreducible(q):
         return HomologyCertificate("Inconclusive", q, "reducible")
     if is_cyclotomic(q):

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import curve_graph, curves
@@ -96,15 +97,23 @@ def make_step_distribution(
 class WalkSample:
     """One seeded trajectory w_k = s_1 s_2 ... s_k."""
 
-    genus: int
+    mu: StepDistribution
     seed: str
     steps: tuple[int, ...]  # indices into the distribution support
-    locations: tuple[MappingClassWord, ...]  # w_1 .. w_n
+    final: MappingClassWord  # w_n
+
+    @cached_property
+    def locations(self) -> tuple[MappingClassWord, ...]:
+        """w_1 .. w_n, built on first request; w_n is ``final``."""
+        prefixes = accumulate((self.mu.support[i] for i in self.steps[:-1]), mul)
+        return (*prefixes, self.final) if self.steps else ()
 
     def location(self, n: int) -> MappingClassWord:
         """w_n, with w_0 the empty word."""
+        if n == len(self.steps):
+            return self.final
         if n == 0:
-            return MappingClassWord.make(self.genus, ())
+            return MappingClassWord.make(self.mu.genus, ())
         return self.locations[n - 1]
 
 
@@ -119,28 +128,25 @@ def sample_path(mu: StepDistribution, n: int, seed) -> WalkSample:
     Steps are drawn by exact integer inversion sampling: a uniform
     integer below the common mass denominator selects the atom, so the
     sampled law matches mu exactly, not merely to float precision.
-    The step words are reduced, so w_k is kept reduced on one letter
-    stack: each step letter cancels the top letter or is pushed.
+    The step words are reduced, so w_n is kept reduced on one letter
+    stack: each step letter cancels the top letter or is pushed.  Only
+    w_n is built; ``WalkSample.locations`` builds the prefixes on request.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     rng = random.Random(str(seed))
     (denominator, cutoffs) = mu._cutoffs
-    genus = mu.genus
     steps = []
-    locations = []
     stack: list[curves.Letter] = []
     for _k in range(n):
-        r = rng.randrange(denominator)
-        index = bisect_right(cutoffs, r)
+        index = bisect_right(cutoffs, rng.randrange(denominator))
         steps.append(index)
         for (k, sign) in mu.support[index].letters:
             if stack and stack[-1] == (k, -sign):
                 stack.pop()
             else:
                 stack.append((k, sign))
-        locations.append(MappingClassWord(genus, tuple(stack)))
-    return WalkSample(genus, str(seed), tuple(steps), tuple(locations))
+    return WalkSample(mu, str(seed), tuple(steps), MappingClassWord(mu.genus, tuple(stack)))
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,6 @@ class _LevelChain:
     def __init__(self, mu: StepDistribution):
         genus = mu.genus
         self.mu = mu
-        self.step_words = [tuple(w.letters) for w in mu.support]
-        self.step_matrices = [w.homology_matrix for w in mu.support]
         start = curves.ElementState.identity(genus)
         self.levels: list[dict[tuple, _ConvState]] = [
             {start.key: _ConvState(start, MappingClassWord.make(genus, ()), Fraction(1))}
@@ -198,10 +202,8 @@ class _LevelChain:
         """Append mu^(i+1) = mu * mu^(i) for the deepest level i."""
         next_states: dict[tuple, _ConvState] = {}
         for conv in self.levels[-1].values():
-            for (letters, matrix, s_word, s_mass) in zip(
-                self.step_words, self.step_matrices, self.mu.support, self.mu.masses
-            ):
-                state = conv.state.left_mul(letters, matrix)
+            for (s_word, s_mass) in zip(self.mu.support, self.mu.masses):
+                state = conv.state.left_mul(s_word.letters)
                 key = state.key
                 mass = s_mass * conv.mass
                 seen = next_states.get(key)

@@ -279,11 +279,12 @@ def _chain(length):
 
 
 def _periodic_order_cases():
-    """Random words, conjugates and powers of the chain rotations, genus-2
-    Torelli locations, and the chain-relation words of criterion 2."""
+    """Random words, conjugates and powers of the chain rotations (with
+    order 4g + 2 = 18 at genus 4, Wiman's bound), genus-2 Torelli
+    locations, and the chain-relation words of criterion 2."""
     rng = random.Random(61)
     cases = []
-    for genus in (2, 3):
+    for genus in (2, 3, 4):
         odd = 2 * genus + 1
         roots = (
             _chain(odd),  # order 2g + 2
@@ -318,6 +319,34 @@ def test_periodic_order_matches_the_all_candidates_search():
     assert orders == [_periodic_order_reference(w) for w in cases]
     # the cases reach every kind of answer
     assert {None, 1, 2, 6, 8, 10, 14} <= set(orders)
+
+
+def test_periodic_order_reaches_wimans_bound_at_genus_4():
+    rotation = MappingClassWord.make(4, _chain(8))
+    u = MappingClassWord.make(4, ((3, 1), (6, -1)))
+    assert classify.periodic_order(rotation) == 18
+    assert classify.periodic_order(u * rotation * u.inverse()) == 18
+    assert classify.periodic_order(rotation * rotation) == 9
+
+
+def test_periodic_screen_makes_no_product_off_the_identity_trace(monkeypatch):
+    """At genus 2 the characteristic polynomial needs no matrix product,
+    and the screen takes a power only when a trace equals 2g."""
+    calls = []
+    mul = homology.SymplecticMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(homology.SymplecticMatrix, "__mul__", counting)
+    twist = twist_word(2, 1)
+    hyperbolic = _word(((1, 1), (2, -1)))
+    assert classify.periodic_order(twist) is None
+    assert classify.periodic_order(hyperbolic) is None
+    assert calls == []
+    assert twist.homology_matrix.trace() == 4 and not twist.homology_matrix.is_identity()
+    assert abs(hyperbolic.homology_matrix.trace()) > 4
 
 
 def test_growth_sequence_is_the_intersection_of_powers():

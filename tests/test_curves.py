@@ -163,10 +163,23 @@ def test_canonical_key_is_reached_by_left_multiplication():
             w = MappingClassWord.make(genus, letters)
             state = curves.ElementState.identity(genus)
             for letter in reversed(w.letters):
-                state = state.left_mul(
-                    (letter,), homology.chain_word_matrix(genus, (letter,))
-                )
+                state = state.left_mul((letter,))
             assert state.key == curves.canonical_key(w)
+
+
+def test_left_mul_matrix_is_the_product_word_matrix():
+    rng = random.Random(18)
+    for genus in (2, 3, 4):
+        for _trial in range(10):
+            a, b = (
+                tuple(
+                    (rng.randrange(1, 2 * genus + 2), rng.choice((1, -1)))
+                    for _ in range(rng.randrange(0, 12))
+                )
+                for _side in range(2)
+            )
+            state = curves.ElementState.identity(genus).left_mul(b).left_mul(a)
+            assert state.matrix == homology.chain_word_matrix(genus, a + b)
 
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.sampled_from((1, -1))), max_size=8))

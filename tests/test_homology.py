@@ -22,6 +22,10 @@ def _random_word(rng: random.Random, genus: int, length: int) -> MappingClassWor
     return MappingClassWord.make(genus, letters)
 
 
+def _poly(coeffs) -> IntPolynomial:
+    return IntPolynomial(tuple(coeffs))
+
+
 def _char_poly_minor_expansion(m: SymplecticMatrix) -> list[int]:
     """Independent oracle: det(xI - M) by Laplace cofactor expansion
     over exact integer polynomials (coefficient lists, low degree first).
@@ -78,13 +82,56 @@ def test_char_poly_matches_minor_expansion_oracle(genus):
 
 
 def test_word_char_polys_are_reciprocal_with_unit_constant():
+    """The reciprocity that ``char_poly`` relies on, read from the
+    independent oracle."""
     rng = random.Random(5)
     for _trial in range(30):
         w = _random_word(rng, 2, rng.randrange(1, 20))
-        q = homology.char_poly(homology.chain_word_matrix(2, w.letters))
-        assert q.is_monic
-        assert abs(q.coeffs[0]) == 1
-        assert q.is_palindromic_up_to_sign
+        coeffs = _char_poly_minor_expansion(w.homology_matrix)
+        assert coeffs[-1] == coeffs[0] == 1
+        assert coeffs == coeffs[::-1]
+
+
+@pytest.mark.parametrize("genus", [4, 5])
+def test_char_poly_matches_sympy_at_higher_genus(genus):
+    """From genus 3 on the trace route multiplies matrices; Laplace
+    expansion is too slow at dimensions 8 and 10, so sympy is the oracle."""
+    rng = random.Random(110 + genus)
+    t = sympy.Symbol("t")
+    for _trial in range(6):
+        w = _random_word(rng, genus, rng.randrange(1, 25))
+        m = w.homology_matrix
+        expected = sympy.Matrix(m.entries).charpoly(t).all_coeffs()[::-1]
+        assert list(homology.char_poly(m).coeffs) == expected
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.lists(
+                st.tuples(st.integers(1, 2 * g + 1), st.sampled_from((1, -1))),
+                max_size=12,
+            ),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_power_sums_are_the_traces_of_powers(case):
+    genus, letters = case
+    m = homology.chain_word_matrix(genus, letters)
+    power = m
+    for p in homology.power_sums(homology.char_poly(m), 4 * genus + 2):
+        assert p == power.trace()
+        power = power * m
+
+
+def test_char_poly_is_cached_per_word():
+    w = MappingClassWord.make(3, ((1, 1), (4, -1), (7, 1)))
+    q = w.char_poly
+    assert w.char_poly is q
+    assert q == homology.char_poly(w.homology_matrix)
+    assert homology.casson_bleiler_certificate(w).char_poly is q
 
 
 def test_chain_classes_have_path_graph_pairings():
@@ -167,7 +214,7 @@ def test_is_irreducible_matches_sympy_on_palindromic_quartics():
         a = rng.randrange(-9, 10)
         b = rng.randrange(-9, 10)
         coeffs = [1, a, b, a, 1]
-        q = IntPolynomial.make(coeffs)
+        q = _poly(coeffs)
         ours = homology.is_irreducible(q)
         assert ours == _sympy_irreducible(coeffs), coeffs
         seen_red += not ours
@@ -177,18 +224,18 @@ def test_is_irreducible_matches_sympy_on_palindromic_quartics():
 
 def test_is_irreducible_on_known_products():
     # (x^2 + 1)(x^2 + x + 1)
-    q = IntPolynomial.make([1, 1, 2, 1, 1])
+    q = _poly([1, 1, 2, 1, 1])
     assert not homology.is_irreducible(q)
-    q = IntPolynomial.make([1, -7, 13, -7, 1])
+    q = _poly([1, -7, 13, -7, 1])
     assert homology.is_irreducible(q)
 
 
 def test_cyclotomic_detection():
-    assert homology.is_cyclotomic(IntPolynomial.make([1, 1, 1]))  # Phi_3
-    assert homology.is_cyclotomic(IntPolynomial.make([1, -1, 1]))  # Phi_6
-    assert homology.is_cyclotomic(IntPolynomial.make([1, 0, 0, 0, 1]))  # Phi_8
-    assert not homology.is_cyclotomic(IntPolynomial.make([1, -7, 13, -7, 1]))
-    assert not homology.is_cyclotomic(IntPolynomial.make([2, 1]))
+    assert homology.is_cyclotomic(_poly([1, 1, 1]))  # Phi_3
+    assert homology.is_cyclotomic(_poly([1, -1, 1]))  # Phi_6
+    assert homology.is_cyclotomic(_poly([1, 0, 0, 0, 1]))  # Phi_8
+    assert not homology.is_cyclotomic(_poly([1, -7, 13, -7, 1]))
+    assert not homology.is_cyclotomic(_poly([2, 1]))
 
 
 def _first_cyclotomic_exponent(q: IntPolynomial):
@@ -214,21 +261,21 @@ def test_is_cyclotomic_matches_long_division():
     seen = 0
     for degree in range(5):
         for low in itertools.product(range(-2, 3), repeat=degree):
-            q = IntPolynomial.make(list(low) + [1])
+            q = _poly(list(low) + [1])
             expected = _first_cyclotomic_exponent(q) is not None
             assert homology.is_cyclotomic(q) == expected, q.coeffs
             seen += expected
     assert seen > 20
     # Phi_3 Phi_5: degree 6, first divides t^15 - 1, and phi(15) = 8 > 6
-    q = IntPolynomial.make([1, 2, 3, 3, 3, 2, 1])
+    q = _poly([1, 2, 3, 3, 3, 2, 1])
     assert _first_cyclotomic_exponent(q) == 15
     assert homology.is_cyclotomic(q)
 
 
 def test_power_substitution():
-    assert homology.power_substitution(IntPolynomial.make([1, 0, 1, 0, 1])) == 2
-    assert homology.power_substitution(IntPolynomial.make([1, 0, 0, 0, 1])) == 4
-    assert homology.power_substitution(IntPolynomial.make([1, 1, 1, 1, 1])) is None
+    assert homology.power_substitution(_poly([1, 0, 1, 0, 1])) == 2
+    assert homology.power_substitution(_poly([1, 0, 0, 0, 1])) == 4
+    assert homology.power_substitution(_poly([1, 1, 1, 1, 1])) is None
 
 
 def test_casson_bleiler_certificate_goldens():
