@@ -91,12 +91,13 @@ def periodic_order(w: MappingClassWord) -> Optional[int]:
     return None
 
 
+_CANDIDATE_CAP = 128
+
+
 @lru_cache(maxsize=None)
-def _candidate_curves(
-    genus: int, search_bound: int, cap: int = 128
-) -> tuple[CurveCoordinates, ...]:
-    """Curated curves plus images under short words, deterministically;
-    built once per argument tuple."""
+def _candidate_curves(genus: int, search_bound: int) -> tuple[CurveCoordinates, ...]:
+    """Curated curves plus images under short words, deterministically, at
+    most ``_CANDIDATE_CAP`` of them; built once per argument pair."""
     s = Surface(genus, 0)
     base = curves.chain_curves(s)
     out = list(base)
@@ -116,7 +117,7 @@ def _candidate_curves(
                             seen.add(img.vector)
                             out.append(img)
                             next_frontier.append((img.transport[0], img))
-                        if len(out) >= cap:
+                        if len(out) >= _CANDIDATE_CAP:
                             return tuple(out)
             frontier = next_frontier
     return tuple(out)

@@ -208,16 +208,3 @@ def is_k_separated(
         raise ValueError("separation constant must be positive")
     return len(k_dense_subset(X, k - 1, gs=gs, budget=budget)) == 0
 
-
-def horoball_member(X: FiniteElementSet, L: int, y: MappingClassWord) -> bool:
-    """Proxy horoball membership.
-
-    Convention: both the distance from x to y and the length of x use
-    the UPPER bound of the relative-length proxy, applied to x^{-1} y
-    and to x respectively.
-    """
-    for x in X.words:
-        dist = rel_length_proxy(x.inverse() * y).upper
-        if dist <= rel_length_proxy(x).upper + L:
-            return True
-    return False

@@ -33,7 +33,7 @@ from .errors import (
     UnknownCurveError,
     UnsupportedSurfaceError,
 )
-from .surface import CurveId, Surface
+from .surface import CurveId, Surface, _require_full_support
 
 Letter = tuple[int, int]
 
@@ -96,7 +96,6 @@ class CurveCoordinates:
 
     genus: int
     vector: tuple[int, ...]
-    component_count: int = 1
     cover_type: str = "pair"  # "pair" | "double"
     transport: Optional[tuple[tuple[Letter, ...], int]] = None  # (word, chain index)
 
@@ -112,14 +111,9 @@ class CurveCoordinates:
         return self.transport is not None
 
 
-def _require_closed(s: Surface) -> None:
-    if not s.full_support:
-        raise UnsupportedSurfaceError(f"need a closed surface of genus >= 2, got {s}")
-
-
 def chain_curves(s: Surface) -> list[CurveCoordinates]:
     """The chain curves c_1 .. c_{2g+1} with golden coordinate vectors."""
-    _require_closed(s)
+    _require_full_support(s)
     system = get_system(s.genus)
     return [
         CurveCoordinates(
@@ -149,7 +143,7 @@ def _separating_vector(genus: int, j: int) -> tuple[int, ...]:
 
 def separating_curve(s: Surface, j: int) -> CurveCoordinates:
     """The curated separating curve s_j = boundary of N(c_j ∪ c_{j+1})."""
-    _require_closed(s)
+    _require_full_support(s)
     if not 1 <= j <= 2 * s.genus:
         raise UnknownCurveError(f"s_{j} out of range for genus {s.genus}")
     return CurveCoordinates(
@@ -244,24 +238,6 @@ def is_same_curve(a: CurveCoordinates, b: CurveCoordinates) -> bool:
     if a.genus != b.genus:
         raise ValueError("genus mismatch")
     return a.vector == b.vector and a.cover_type == b.cover_type
-
-
-def disjoint_union(parts: Sequence[CurveCoordinates]) -> CurveCoordinates:
-    """Formal multicurve from pairwise disjoint components."""
-    if not parts:
-        raise ValueError("empty multicurve")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if intersection(parts[i], parts[j]) != 0:
-                raise ValueError("components are not disjoint")
-    genus = parts[0].genus
-    vec = tuple(sum(c.vector[e] for c in parts) for e in range(len(parts[0].vector)))
-    return CurveCoordinates(
-        genus=genus,
-        vector=vec,
-        component_count=sum(c.component_count for c in parts),
-        cover_type="pair" if all(c.cover_type == "pair" for c in parts) else "double",
-    )
 
 
 def alexander_identity_test(w: MappingClassWord) -> bool:

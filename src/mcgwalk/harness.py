@@ -109,6 +109,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("torelli_pa_fraction requires torelli generators")
     if any(k < 1 for k in cfg.k_values):
         raise ConfigError("k values must be positive")
+    if cfg.search_bound < 1:
+        raise ConfigError("search_bound must be at least 1")
+    if cfg.iterations < 4:
+        raise ConfigError("iterations must be at least 4")
+    if cfg.pair_budget < 1:
+        raise ConfigError("pair_budget must be at least 1")
+    if cfg.radius < 0:
+        raise ConfigError("radius must be nonnegative")
+    if cfg.short_length < 1:
+        raise ConfigError("short_length must be at least 1")
+    if cfg.set_count < 1:
+        raise ConfigError("set_count must be at least 1")
+    if cfg.set_size < 0:
+        raise ConfigError("set_size must be nonnegative")
 
 
 def _canonical_value(value) -> str:
@@ -574,9 +588,9 @@ def _transience_task(args) -> dict:
     for k in range(1, n_max + 1):
         w = path.location(k)
         verdict = classify.classify(w, budgets)
-        certified = isinstance(verdict, classify.PseudoAnosov)
+        pa = isinstance(verdict, classify.PseudoAnosov)
         digests.append(_key_digest(curves.canonical_key(w)))
-        if not certified:
+        if not pa:
             noncert.append(k)
     return {
         "index": index,
@@ -607,8 +621,8 @@ def _run_transience_rk(cfg: ExperimentConfig) -> RunResult:
     _s, gs, mu, _budgets = _context(cfg)
     n_max = max(cfg.lengths)
 
-    # R: the sampled set of locations without a pseudo-Anosov
-    # certificate (a finite stand-in for the paper's infinite set).
+    # R: the sampled set of locations without a pA verdict of any
+    # source (a finite stand-in for the paper's infinite set).
     r_words: dict[str, MappingClassWord] = {}
     for rec in raw:
         if len(r_words) >= _TRANSIENCE_R_CAP:

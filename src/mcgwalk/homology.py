@@ -88,19 +88,6 @@ def symplectic_form(g: int) -> SymplecticMatrix:
     return SymplecticMatrix(tuple(rows))
 
 
-def is_symplectic(m: SymplecticMatrix) -> bool:
-    g = m.dimension // 2
-    j = symplectic_form(g)
-    mt = SymplecticMatrix(tuple(zip(*m.entries)))
-    return mt * j * m == j
-
-
-def pairing(g: int, x: Sequence[int], y: Sequence[int]) -> int:
-    """The algebraic intersection pairing <x, y> = x^T J y."""
-    j = symplectic_form(g)
-    return sum(a * b for a, b in zip(x, j.apply(y)))
-
-
 def chain_class(g: int, k: int) -> tuple[int, ...]:
     """Homology class of chain curve c_k in the (a_i, b_i) basis.
 

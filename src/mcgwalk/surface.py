@@ -1,19 +1,20 @@
-"""Surfaces, sporadicity, dimension formulas, and generator systems.
+"""Surfaces and generator systems.
 
-The canonical generating set for a closed surface of genus g >= 2 is
-the chain of 2g + 1 Dehn twists T_{c_1}, ..., T_{c_{2g+1}} along curves
-with path-graph intersection pattern.  Torelli generator words are
-twists about curated separating curves, expressed as chain words via
-the chain relation (T_a T_b)^6 = T_{boundary} for neighbouring chain
-curves; see ``torelli_generators`` for why bounding pairs are not
-available over the chain system.
+The walks' generating set for a closed surface of genus g >= 2 is the
+chain of 2g + 1 Dehn twists T_{c_1}, ..., T_{c_{2g+1}} along curves
+with path-graph intersection pattern (``humphries_generators`` says
+which group it generates).  Torelli generator words are twists about
+curated separating curves, expressed as chain words via the chain
+relation (T_a T_b)^6 = T_{boundary} for neighbouring chain curves; see
+``torelli_generators`` for why bounding pairs are not available over
+the chain system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
+from . import homology
 from .errors import UnsupportedSurfaceError
 
 
@@ -48,7 +49,6 @@ class CurveId:
 class GeneratorRecord:
     label: str
     curve: CurveId
-    direction: str  # twist-direction convention tag
     word: tuple[tuple[int, int], ...]  # realization as signed chain letters
 
 
@@ -58,44 +58,9 @@ class GeneratorSet:
     generators: tuple[GeneratorRecord, ...]
     intersection_matrix: tuple[tuple[int, ...], ...]
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.generators)
-
-    def word_for(self, label: str) -> tuple[tuple[int, int], ...]:
-        for g in self.generators:
-            if g.label == label:
-                return g.word
-        raise KeyError(label)
-
-    def to_table(self) -> str:
-        """Audit serialization: one generator per line."""
-        lines = ["label\tfamily\tindex\tdirection\tword"]
-        for g in self.generators:
-            word = " ".join(f"{'+' if s > 0 else '-'}c{i}" for (i, s) in g.word)
-            lines.append(f"{g.label}\t{g.curve.family}\t{g.curve.index}\t{g.direction}\t{word}")
-        return "\n".join(lines)
-
-
-TWIST_DIRECTION = "right"  # global convention; fixed once, used in all tables
-
 
 def make_surface(g: int, p: int) -> Surface:
     return Surface(g, p)
-
-
-def is_sporadic(s: Surface) -> bool:
-    """Sphere with at most four punctures, or torus with at most one."""
-    return (s.genus == 0 and s.punctures <= 4) or (s.genus == 1 and s.punctures <= 1)
-
-
-def teich_dimension(s: Surface) -> int:
-    if s.genus == 0 and s.punctures <= 2:
-        raise UnsupportedSurfaceError("dimension undefined for spheres with <= 2 punctures")
-    return 6 * s.genus + 2 * s.punctures - 6
-
-
-def boundary_dimension(s: Surface) -> int:
-    return teich_dimension(s) - 1
 
 
 def _require_full_support(s: Surface) -> None:
@@ -103,22 +68,19 @@ def _require_full_support(s: Surface) -> None:
         raise UnsupportedSurfaceError(f"need a closed surface of genus >= 2, got {s}")
 
 
-def chain_curve_count(s: Surface) -> int:
-    return 2 * s.genus + 1
-
-
 def humphries_generators(s: Surface) -> GeneratorSet:
-    """The 2g+1 chain-twist generators with path-graph intersections."""
+    """The chain generators c_1 .. c_{2g+1}, with path-graph intersections.
+
+    They are the Humphries set only at genus 2.  By Birman-Hilden they
+    generate the hyperelliptic mapping class group, which is all of
+    Mod(S_2) but has infinite index in Mod(S_g) for g >= 3; the engine
+    works on the quotient sphere, so it represents exactly that group.
+    This is the ``humphries`` generator choice of the harness.
+    """
     _require_full_support(s)
-    m = chain_curve_count(s)
     records = tuple(
-        GeneratorRecord(
-            label=f"c{k}",
-            curve=CurveId("chain", k),
-            direction=TWIST_DIRECTION,
-            word=((k, 1),),
-        )
-        for k in range(1, m + 1)
+        GeneratorRecord(label=f"c{k}", curve=CurveId("chain", k), word=((k, 1),))
+        for k in range(1, 2 * s.genus + 2)
     )
     return GeneratorSet(s, records, _intersection_table(s, records))
 
@@ -156,14 +118,12 @@ def torelli_generators(s: Surface, pair_budget: int) -> GeneratorSet:
     complementary pieces would need half-integral genus.)  The curated
     Torelli family therefore consists of twists about the symmetric
     separating curves s_j, realized as chain words via the chain
-    relation, optionally conjugated by short chain words for variety.
-    Each generator is homology-trivial by exact matrix check.
+    relation; they lie in the hyperelliptic Torelli group.  Each
+    generator is homology-trivial by exact matrix check.
     """
     _require_full_support(s)
     if pair_budget < 1:
         raise ValueError("pair_budget must be at least 1")
-    from . import homology  # deferred to avoid an import cycle
-
     family = [
         (f"t{j}", CurveId("separating", j), separating_word(s, j))
         for j in range(1, 2 * s.genus + 1)
@@ -173,11 +133,7 @@ def torelli_generators(s: Surface, pair_budget: int) -> GeneratorSet:
         matrix = homology.chain_word_matrix(s.genus, word)
         if not matrix.is_identity():
             raise AssertionError(f"curated Torelli word {label} is not homology-trivial")
-        records.append(GeneratorRecord(label, cid, TWIST_DIRECTION, word))
+        records.append(GeneratorRecord(label, cid, word))
     records = tuple(records)
     return GeneratorSet(s, records, _intersection_table(s, records))
 
-
-def intersection_matrix(gs: GeneratorSet) -> tuple[tuple[int, ...], ...]:
-    """Pairwise geometric intersection numbers of the generator curves."""
-    return _intersection_table(gs.surface, gs.generators)

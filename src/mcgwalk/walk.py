@@ -23,13 +23,13 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import curve_graph, curves
 from .curve_graph import FiniteElementSet
 from .curves import MappingClassWord
 from .errors import BudgetExceededError
-from .surface import GeneratorSet
+from .surface import GeneratorSet, Surface, humphries_generators
 
 DEFAULT_CONVOLUTION_BUDGET = 500_000
 
@@ -65,32 +65,15 @@ class StepDistribution:
         return (denominator, tuple(accumulate(int(m * denominator) for m in self.masses)))
 
 
-def make_step_distribution(
-    gs: GeneratorSet, weights: Optional[Sequence[Fraction]] = None
-) -> StepDistribution:
-    """Uniform (or custom-weighted) steps on the generators and inverses.
-
-    A weight applies to a generator/inverse pair; the default gives
-    every signed generator equal mass.
-    """
+def make_step_distribution(gs: GeneratorSet) -> StepDistribution:
+    """Uniform steps: every generator and every inverse has equal mass."""
     genus = gs.surface.genus
     support: list[MappingClassWord] = []
     for g in gs.generators:
         w = MappingClassWord.make(genus, g.word)
         support.append(w)
         support.append(w.inverse())
-    if weights is None:
-        return StepDistribution(tuple(support), (Fraction(1, len(support)),) * len(support))
-    if len(weights) != len(gs.generators):
-        raise ValueError("need one weight per generator")
-    weights = [Fraction(w) for w in weights]
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    total = 2 * sum(weights)
-    masses = []
-    for w in weights:
-        masses.extend([w / total, w / total])
-    return StepDistribution(tuple(support), tuple(masses))
+    return StepDistribution(tuple(support), (Fraction(1, len(support)),) * len(support))
 
 
 @dataclass(frozen=True)
@@ -256,17 +239,6 @@ def exact_convolution(
     return chain.measure(n)
 
 
-def sup_mass(m: EmpiricalMeasure) -> tuple[tuple, Fraction]:
-    """The maximal atom; ties broken by canonical key order."""
-    if not m.masses:
-        raise ValueError("empty measure")
-    best_key, best_mass = m.masses[0]
-    for (key, mass) in m.masses[1:]:
-        if mass > best_mass:
-            best_key, best_mass = key, mass
-    return best_key, best_mass
-
-
 @dataclass(frozen=True)
 class SeparatedInequalityReport:
     k: int
@@ -304,15 +276,13 @@ def separated_inequality_check(
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
     if gs is None:
-        from .surface import Surface, humphries_generators
-
         gs = humphries_generators(Surface(mu.genus, 0))
-    if len(X) and not curve_graph.is_k_separated(X, k, gs=gs):
+    if len(X) and not curve_graph.is_k_separated(X, k, gs=gs, budget=budget):
         raise ValueError("X is not k-separated")
     mu_n = exact_convolution(mu, n, budget=budget)
     mu_m = exact_convolution(mu, m, budget=budget)
     lhs = sum((mu_n.mass_of_key(key) for key in X.keys), Fraction(0))
-    ball_keys = set(curve_graph.enumerate_ball(gs, (k - 1) // 2))
+    ball_keys = set(curve_graph.enumerate_ball(gs, (k - 1) // 2, budget=budget))
     ball_mass = Fraction(0)
     max_ball = Fraction(0)
     for (key, mass) in mu_m.masses:

@@ -1,4 +1,4 @@
-"""Distance bounds, word-metric balls, dense subsets, horoballs."""
+"""Distance bounds, word-metric balls, dense subsets."""
 
 from __future__ import annotations
 
@@ -158,19 +158,4 @@ def test_finite_element_set_deduplicates():
     R = cg.FiniteElementSet.make([braid_a, braid_b, _word(())])
     assert len(R) == 2
     assert braid_b in R
-
-
-def test_horoball_membership_and_monotonicity():
-    rng = random.Random(36)
-    X = cg.FiniteElementSet.make([_word(()), twist_word(2, 2, 3)])
-    for x in X.words:
-        assert cg.horoball_member(X, 0, x)
-    for _trial in range(20):
-        y = _random_word(rng, rng.randrange(0, 6))
-        levels = [cg.horoball_member(X, level, y) for level in (0, 1, 2, 5)]
-        assert levels == sorted(levels)
-        bigger = cg.FiniteElementSet.make(list(X.words) + [_random_word(rng, 2)])
-        for level in (0, 2):
-            if cg.horoball_member(X, level, y):
-                assert cg.horoball_member(bigger, level, y)
 

@@ -191,14 +191,6 @@ def test_twist_action_respects_inverses(letters):
     assert roundtrip.vector == c.vector
 
 
-def test_disjoint_union_checks_disjointness():
-    chain = curves.chain_curves(S2)
-    multi = curves.disjoint_union([chain[0], chain[2]])
-    assert multi.component_count == 2
-    with pytest.raises(ValueError):
-        curves.disjoint_union([chain[0], chain[1]])
-
-
 def test_homology_and_curve_actions_agree_on_classes():
     rng = random.Random(13)
     for _trial in range(10):

@@ -105,6 +105,37 @@ def test_cli_exit_code_for_config_errors(tmp_path: Path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment,section,field,value",
+    [
+        ("pa_fraction", "classify", "search_bound", 0),
+        ("pa_fraction", "classify", "iterations", 3),
+        ("torelli_pa_fraction", "walk", "pair_budget", 0),
+        ("conjugacy_bounds", "conjugacy", "radius", -1),
+        ("conjugacy_bounds", "conjugacy", "short_length", 0),
+        ("exact_lemma", "sets", "set_count", 0),
+        ("exact_lemma", "sets", "set_size", -1),
+    ],
+)
+def test_cli_exit_code_for_out_of_range_fields(
+    tmp_path: Path, capsys, experiment, section, field, value
+):
+    sections = {"walk": {"lengths": "2,4", "samples": "2"}}
+    if experiment == "torelli_pa_fraction":
+        sections["walk"]["generators"] = "torelli"
+    sections.setdefault(section, {})[field] = str(value)
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+            for name, body in sections.items()
+        )
+    )
+    code = main([experiment, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_exit_code_for_budget_errors(tmp_path: Path, capsys):
     code = main(
         [

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mcgwalk import homology
 from mcgwalk.curves import MappingClassWord
-from mcgwalk.homology import IntPolynomial, SymplecticMatrix
+from mcgwalk.homology import IntPolynomial, SymplecticMatrix, symplectic_form
 
 
 def _random_word(rng: random.Random, genus: int, length: int) -> MappingClassWord:
@@ -20,6 +20,18 @@ def _random_word(rng: random.Random, genus: int, length: int) -> MappingClassWor
         (rng.randrange(1, 2 * genus + 2), rng.choice((1, -1))) for _ in range(length)
     )
     return MappingClassWord.make(genus, letters)
+
+
+def _is_symplectic(m: SymplecticMatrix) -> bool:
+    """Oracle: M^T J M = J."""
+    j = symplectic_form(m.dimension // 2)
+    mt = SymplecticMatrix(tuple(zip(*m.entries)))
+    return mt * j * m == j
+
+
+def _pairing(g: int, x, y) -> int:
+    """Oracle: the algebraic intersection pairing <x, y> = x^T J y."""
+    return sum(a * b for a, b in zip(x, symplectic_form(g).apply(y)))
 
 
 def _poly(coeffs) -> IntPolynomial:
@@ -140,7 +152,7 @@ def test_chain_classes_have_path_graph_pairings():
     for i, x in enumerate(classes):
         for j, y in enumerate(classes):
             expected = 1 if abs(i - j) == 1 else 0
-            assert abs(homology.pairing(g, x, y)) == expected
+            assert abs(_pairing(g, x, y)) == expected
 
 
 @given(
@@ -149,7 +161,7 @@ def test_chain_classes_have_path_graph_pairings():
 @settings(max_examples=60, deadline=None)
 def test_transvections_are_symplectic(vec):
     m = homology.transvection_by(2, vec)
-    assert homology.is_symplectic(m)
+    assert _is_symplectic(m)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4, 5])

@@ -41,17 +41,7 @@ def test_make_step_distribution_defaults():
         assert (g_word * inv_word).letters == ()
 
 
-def test_custom_weights_match_uniform_when_equal():
-    mu_default = walk.make_step_distribution(GS)
-    mu_weighted = walk.make_step_distribution(GS, weights=[Fraction(3)] * 5)
-    assert mu_weighted.masses == mu_default.masses
-
-
 def test_step_distribution_validation():
-    with pytest.raises(ValueError):
-        walk.make_step_distribution(GS, weights=[Fraction(1)] * 4)
-    with pytest.raises(ValueError):
-        walk.make_step_distribution(GS, weights=[Fraction(1)] * 4 + [Fraction(0)])
     with pytest.raises(ValueError):
         walk.StepDistribution((), ())
     w = MappingClassWord.make(2, ((1, 1),))
@@ -211,18 +201,6 @@ def test_convolution_representatives_have_their_keys():
             assert curves.canonical_key(rep) == key
 
 
-def test_sup_mass_and_tie_breaking():
-    mu = walk.make_step_distribution(_sub_generators(1))
-    key, mass = walk.sup_mass(walk.exact_convolution(mu, 2))
-    assert mass == Fraction(1, 2)
-    assert key == curves.canonical_key(MappingClassWord.make(2, ()))
-    # at n=1 both atoms have mass 1/2; the smaller canonical key wins
-    m1 = walk.exact_convolution(mu, 1)
-    key, mass = walk.sup_mass(m1)
-    assert mass == Fraction(1, 2)
-    assert key == m1.masses[0][0]
-
-
 def test_separated_inequality_trivial_sets():
     mu = walk.make_step_distribution(_sub_generators(2))
     empty = FiniteElementSet.make([])
@@ -242,6 +220,22 @@ def test_separated_inequality_rejects_unseparated_sets():
     )
     with pytest.raises(ValueError):
         walk.separated_inequality_check(mu, X, 3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "powers,k",
+    [
+        ((0, 3), 3),  # the 3-separation check needs the radius-2 ball
+        ((0,), 5),  # a single point skips it; the mass bound needs radius 2
+    ],
+)
+def test_separated_inequality_ball_enumerations_respect_the_budget(powers, k):
+    X = FiniteElementSet.make([twist_word(2, 1, p) for p in powers])
+    mu = walk.make_step_distribution(GS)
+    with pytest.raises(BudgetExceededError) as info:
+        walk.separated_inequality_check(mu, X, k, 0, 1, budget=20)
+    # the naive radius-2 ball over five generators: 1 + 10 + 100
+    assert info.value.required == 111
 
 
 def test_separated_inequality_on_separated_sets():
