@@ -20,12 +20,13 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
 import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -42,41 +43,61 @@ from .surface import (
     torelli_generators,
 )
 
-EXPERIMENTS = (
-    "pa_fraction",
-    "torelli_pa_fraction",
-    "rel_length_growth",
-    "conjugacy_bounds",
-    "transience_rk",
-    "exact_lemma",
-)
+# name -> Experiment, filled by the @_experiment declarations of the runners
+# below, in subcommand order
+EXPERIMENTS: dict[str, Experiment] = {}
 
 GENERATOR_CHOICES = ("humphries", "torelli", "single_twist", "two_twist")
+
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "lt": (operator.lt, "<"),
+}
+
+
+def _field(default, section: str, *, key: Optional[str] = None, choices=None, **bounds):
+    """A config field read from ``[section] key`` of a config file (``key``
+    defaults to the field name).  A valid value is one of ``choices`` when
+    given and meets every bound in ``bounds`` (``ge``, ``gt``, ``le``,
+    ``lt``), elementwise for tuples.  The metadata keeps each bound as a
+    ``(test, symbol, bound)`` triple."""
+    checks = tuple((*_BOUNDS[kind], bound) for kind, bound in bounds.items())
+    return field(
+        default=default,
+        metadata={"section": section, "key": key, "choices": choices, "bounds": checks},
+    )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str
-    genus: int = 2
-    punctures: int = 0
-    generators: str = "humphries"
-    pair_budget: int = 4
-    lengths: tuple[int, ...] = (5, 10, 20, 40, 80)
-    samples: int = 100
-    seed: int = 1
-    workers: int = 1
-    budget: int = 500_000
-    out_dir: str = "out"
-    search_bound: int = 1
-    iterations: int = 14
-    threshold: Fraction = Fraction(1, 20)
-    stabilization: Fraction = Fraction(1, 100)
-    radius: int = 3
-    short_length: int = 3
-    k_values: tuple[int, ...] = (2, 4)
-    set_count: int = 50
-    set_size: int = 5
+    """One run's configuration, and the one declaration of each field's
+    config-file section and key, parse type (its default's) and range."""
 
+    experiment: str = field(metadata={"choices": EXPERIMENTS, "bounds": ()})
+    genus: int = _field(2, "surface", ge=2)
+    punctures: int = _field(0, "surface", ge=0, le=0)
+    generators: str = _field("humphries", "walk", choices=GENERATOR_CHOICES)
+    pair_budget: int = _field(4, "walk", ge=1)
+    lengths: tuple[int, ...] = _field((5, 10, 20, 40, 80), "walk", ge=1)
+    samples: int = _field(100, "walk", ge=1)
+    seed: int = _field(1, "walk", ge=0, lt=2**64)
+    workers: int = _field(1, "run", ge=1)
+    budget: int = _field(500_000, "run", ge=1)
+    out_dir: str = _field("out", "run", key="out")
+    search_bound: int = _field(1, "classify", ge=1)
+    iterations: int = _field(14, "classify", ge=4)
+    threshold: Fraction = _field(Fraction(1, 20), "classify", gt=0)
+    stabilization: Fraction = _field(Fraction(1, 100), "classify", ge=0, lt=1)
+    radius: int = _field(3, "conjugacy", ge=0)
+    short_length: int = _field(3, "conjugacy", ge=1)
+    k_values: tuple[int, ...] = _field((2, 4), "sets", ge=1)
+    set_count: int = _field(50, "sets", ge=1)
+    set_size: int = _field(5, "sets", ge=0)
+
+
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 # Fields that do not influence the results and are excluded from the
 # config hash, so reruns at different worker counts or output roots land
@@ -85,44 +106,27 @@ _UNHASHED_FIELDS = ("workers", "out_dir")
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    if cfg.genus < 2 or cfg.punctures != 0:
-        raise ConfigError("experiments need a closed surface of genus >= 2")
-    if cfg.generators not in GENERATOR_CHOICES:
-        raise ConfigError(f"unknown generator choice {cfg.generators!r}")
-    if not cfg.lengths:
-        raise ConfigError("length grid must be nonempty")
-    if any(b <= a for a, b in zip(cfg.lengths, cfg.lengths[1:])):
-        raise ConfigError("length grid must be strictly increasing")
-    if any(n < 1 for n in cfg.lengths):
-        raise ConfigError("lengths must be positive")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be at least 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be at least 1")
-    if cfg.budget < 1:
-        raise ConfigError("budget must be positive")
-    if not 0 <= cfg.seed < 2**64:
-        raise ConfigError("seed must fit in 64 bits")
+    for f in _FIELDS.values():
+        value = getattr(cfg, f.name)
+        choices, bounds = f.metadata["choices"], f.metadata["bounds"]
+        for v in value if type(value) is tuple else (value,):
+            if choices is not None and v not in choices:
+                raise ConfigError(f"unknown {f.name} {v!r}; choose from {', '.join(choices)}")
+            for test, symbol, bound in bounds:
+                if not test(v, bound):
+                    raise ConfigError(f"{f.name} must be {symbol} {bound}, got {v}")
+    if not cfg.lengths or any(b <= a for a, b in zip(cfg.lengths, cfg.lengths[1:])):
+        raise ConfigError("length grid must be nonempty and strictly increasing")
     if cfg.experiment == "torelli_pa_fraction" and cfg.generators != "torelli":
         raise ConfigError("torelli_pa_fraction requires torelli generators")
-    if any(k < 1 for k in cfg.k_values):
-        raise ConfigError("k values must be positive")
-    if cfg.search_bound < 1:
-        raise ConfigError("search_bound must be at least 1")
-    if cfg.iterations < 4:
-        raise ConfigError("iterations must be at least 4")
-    if cfg.pair_budget < 1:
-        raise ConfigError("pair_budget must be at least 1")
-    if cfg.radius < 0:
-        raise ConfigError("radius must be nonnegative")
-    if cfg.short_length < 1:
-        raise ConfigError("short_length must be at least 1")
-    if cfg.set_count < 1:
-        raise ConfigError("set_count must be at least 1")
-    if cfg.set_size < 0:
-        raise ConfigError("set_size must be nonnegative")
+    if cfg.generators == "torelli" and cfg.pair_budget <= 2 * cfg.genus - 2:
+        # s_j encloses branch punctures j-1..j+1, so s_1..s_b enclose 0..b+1
+        raise ConfigError(
+            f"torelli generators s_1..s_{cfg.pair_budget} leave branch punctures "
+            f"{cfg.pair_budget + 2}..{2 * cfg.genus + 1} outside every support, so "
+            "the walk fixes the curve around them and no sample can be pseudo-Anosov; "
+            f"genus {cfg.genus} needs pair_budget >= {2 * cfg.genus - 1}"
+        )
 
 
 def _canonical_value(value) -> str:
@@ -151,41 +155,21 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 # --- config file parsing (flat key=value with sections) ---
 
-_CONFIG_SCHEMA = {
-    ("surface", "genus"): "genus",
-    ("surface", "punctures"): "punctures",
-    ("walk", "generators"): "generators",
-    ("walk", "pair_budget"): "pair_budget",
-    ("walk", "lengths"): "lengths",
-    ("walk", "samples"): "samples",
-    ("walk", "seed"): "seed",
-    ("classify", "search_bound"): "search_bound",
-    ("classify", "iterations"): "iterations",
-    ("classify", "threshold"): "threshold",
-    ("classify", "stabilization"): "stabilization",
-    ("conjugacy", "radius"): "radius",
-    ("conjugacy", "short_length"): "short_length",
-    ("sets", "k_values"): "k_values",
-    ("sets", "set_count"): "set_count",
-    ("sets", "set_size"): "set_size",
-    ("run", "workers"): "workers",
-    ("run", "budget"): "budget",
-    ("run", "out"): "out_dir",
-}
+
+def _config_key(f: Field) -> str:
+    return f.metadata["key"] or f.name
 
 
-def _parse_field(name: str, raw: str):
-    raw = raw.strip()
+def _parse_field(f: Field, raw: str):
+    """Parse ``raw`` as a value of the type of ``f``'s default; tuples are
+    comma-separated integers."""
+    kind = type(f.default)
     try:
-        if name in ("lengths", "k_values"):
+        if kind is tuple:
             return tuple(int(v) for v in raw.split(",") if v.strip())
-        if name in ("threshold", "stabilization"):
-            return Fraction(raw)
-        if name in ("generators", "out_dir"):
-            return raw
-        return int(raw)
+        return kind(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from exc
+        raise ConfigError(f"bad value for {f.name}: {raw!r} ({exc})") from exc
 
 
 def load_config_file(path: str, experiment: str) -> ExperimentConfig:
@@ -197,13 +181,18 @@ def load_config_file(path: str, experiment: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    table = {
+        (f.metadata["section"], _config_key(f)): f
+        for f in _FIELDS.values()
+        if "section" in f.metadata
+    }
     overrides = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            field = _CONFIG_SCHEMA.get((section, key))
-            if field is None:
+            f = table.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            overrides[field] = _parse_field(field, raw)
+            overrides[f.name] = _parse_field(f, raw)
     return ExperimentConfig(experiment=experiment, **overrides)
 
 
@@ -355,6 +344,29 @@ class RunResult:
     failures: int = 0
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's runner and the config fields its CLI run sets
+    when no ``--config`` file is given."""
+
+    run: Callable[[ExperimentConfig], RunResult]
+    cli_defaults: dict
+
+
+def _experiment(name: str, **cli_defaults):
+    """Declare the decorated runner as experiment ``name``."""
+
+    def declare(run):
+        EXPERIMENTS[name] = Experiment(run, cli_defaults)
+        return run
+
+    return declare
+
+
+@_experiment(
+    "torelli_pa_fraction", generators="torelli", lengths=(5, 10, 20, 40), samples=500
+)
+@_experiment("pa_fraction")
 def _run_pa_fraction(cfg: ExperimentConfig) -> RunResult:
     tasks = [(cfg, n, i) for n in cfg.lengths for i in range(cfg.samples)]
     records = _parallel_map(_classify_task, tasks, cfg.workers)
@@ -437,6 +449,7 @@ def aggregate_rel_length(cfg: ExperimentConfig, records: list[dict]) -> list[dic
     return rows
 
 
+@_experiment("rel_length_growth")
 def _run_rel_length_growth(cfg: ExperimentConfig) -> RunResult:
     tasks = [(cfg, n, i) for n in cfg.lengths for i in range(cfg.samples)]
     records = _parallel_map(_proxy_task, tasks, cfg.workers)
@@ -546,6 +559,7 @@ def aggregate_conjugacy(cfg: ExperimentConfig, records: list[dict]) -> list[dict
     ]
 
 
+@_experiment("conjugacy_bounds", lengths=(1,), samples=100)
 def _run_conjugacy_bounds(cfg: ExperimentConfig) -> RunResult:
     tasks = [(cfg, i) for i in range(cfg.samples)]
     records = _parallel_map(_conjugacy_task, tasks, cfg.workers)
@@ -614,6 +628,7 @@ TRANSIENCE_COLUMNS = (
 _TRANSIENCE_R_CAP = 200
 
 
+@_experiment("transience_rk", lengths=(5, 10, 20, 40), samples=50)
 def _run_transience_rk(cfg: ExperimentConfig) -> RunResult:
     tasks = [(cfg, i) for i in range(cfg.samples)]
     raw = _parallel_map(_transience_task, tasks, cfg.workers)
@@ -784,6 +799,9 @@ def aggregate_exact_lemma(cfg: ExperimentConfig, records: list[dict]) -> list[di
     return rows
 
 
+@_experiment(
+    "exact_lemma", generators="two_twist", lengths=(3, 5), samples=1, k_values=(3, 5)
+)
 def _run_exact_lemma(cfg: ExperimentConfig) -> RunResult:
     cells = [
         (cfg, k, m, n)
@@ -812,16 +830,6 @@ def _run_exact_lemma(cfg: ExperimentConfig) -> RunResult:
     return RunResult(records, rows, EXACT_LEMMA_COLUMNS, summary, plot, failures)
 
 
-_RUNNERS = {
-    "pa_fraction": _run_pa_fraction,
-    "torelli_pa_fraction": _run_pa_fraction,
-    "rel_length_growth": _run_rel_length_growth,
-    "conjugacy_bounds": _run_conjugacy_bounds,
-    "transience_rk": _run_transience_rk,
-    "exact_lemma": _run_exact_lemma,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
@@ -846,7 +854,7 @@ def _write_file(path: str, text: str) -> None:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     validate_config(cfg)
     start = time.monotonic()
-    result = _RUNNERS[cfg.experiment](cfg)
+    result = EXPERIMENTS[cfg.experiment].run(cfg)
     records, rows, columns = result.records, result.rows, result.columns
     chash = config_hash(cfg)
     out_path = os.path.join(cfg.out_dir, cfg.experiment, chash)
@@ -887,22 +895,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 # --- CLI ---
 
-_EXPERIMENT_DEFAULTS = {
-    "pa_fraction": {},
-    "torelli_pa_fraction": {
-        "generators": "torelli",
-        "lengths": (5, 10, 20, 40),
-        "samples": 500,
-    },
-    "rel_length_growth": {},
-    "conjugacy_bounds": {"lengths": (1,), "samples": 100},
-    "transience_rk": {"lengths": (5, 10, 20, 40), "samples": 50},
-    "exact_lemma": {
-        "generators": "two_twist",
-        "lengths": (3, 5),
-        "samples": 1,
-        "k_values": (3, 5),
-    },
+# config fields that a CLI flag of the same name as their config key
+# overrides, with the flag's metavar
+_CLI_OVERRIDES = {
+    "seed": "U64",
+    "out_dir": "DIR",
+    "samples": "N",
+    "lengths": "CSV",
+    "workers": "N",
+    "budget": "N",
 }
 
 
@@ -914,12 +915,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="PATH", default=None)
-        p.add_argument("--seed", type=int, default=None, metavar="U64")
-        p.add_argument("--out", default=None, metavar="DIR")
-        p.add_argument("--samples", type=int, default=None, metavar="N")
-        p.add_argument("--lengths", default=None, metavar="CSV")
-        p.add_argument("--workers", type=int, default=None, metavar="N")
-        p.add_argument("--budget", type=int, default=None, metavar="N")
+        for field_name, metavar in _CLI_OVERRIDES.items():
+            flag = "--" + _config_key(_FIELDS[field_name])
+            p.add_argument(flag, dest=field_name, default=None, metavar=metavar)
     return parser
 
 
@@ -928,22 +926,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg = load_config_file(args.config, args.experiment)
     else:
         cfg = ExperimentConfig(
-            experiment=args.experiment,
-            **_EXPERIMENT_DEFAULTS[args.experiment],
+            experiment=args.experiment, **EXPERIMENTS[args.experiment].cli_defaults
         )
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.samples is not None:
-        overrides["samples"] = args.samples
-    if args.lengths is not None:
-        overrides["lengths"] = _parse_field("lengths", args.lengths)
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.budget is not None:
-        overrides["budget"] = args.budget
+    overrides = {
+        name: _parse_field(_FIELDS[name], getattr(args, name))
+        for name in _CLI_OVERRIDES
+        if getattr(args, name) is not None
+    }
     return replace(cfg, **overrides)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,20 +71,44 @@ def test_config_hash_is_stable_and_excludes_run_locals():
 
 
 def test_load_config_file(tmp_path: Path):
+    # every declared key, each set away from its default
     path = tmp_path / "run.cfg"
     path.write_text(
-        "[surface]\ngenus = 2\n"
-        "[walk]\nlengths = 3,6,9\nsamples = 7\nseed = 11\n"
-        "[classify]\nthreshold = 1/25\n"
-        "[run]\nworkers = 2\nout = results\n"
+        "[surface]\ngenus = 3\npunctures = 1\n"
+        "[walk]\ngenerators = torelli\npair_budget = 5\nlengths = 3,6,9\n"
+        "samples = 7\nseed = 11\n"
+        "[classify]\nsearch_bound = 2\niterations = 5\nthreshold = 1/25\n"
+        "stabilization = 1/50\n"
+        "[conjugacy]\nradius = 2\nshort_length = 4\n"
+        "[sets]\nk_values = 1,3\nset_count = 9\nset_size = 2\n"
+        "[run]\nworkers = 2\nbudget = 1000\nout = results\n"
     )
+    values = dict(
+        genus=3,
+        punctures=1,
+        generators="torelli",
+        pair_budget=5,
+        lengths=(3, 6, 9),
+        samples=7,
+        seed=11,
+        search_bound=2,
+        iterations=5,
+        threshold=Fraction(1, 25),
+        stabilization=Fraction(1, 50),
+        radius=2,
+        short_length=4,
+        k_values=(1, 3),
+        set_count=9,
+        set_size=2,
+        workers=2,
+        budget=1000,
+        out_dir="results",
+    )
+    declared = [f for f in fields(ExperimentConfig) if "section" in f.metadata]
+    assert {f.name for f in declared} == set(values)
+    assert all(values[f.name] != f.default for f in declared)
     cfg = load_config_file(str(path), "pa_fraction")
-    assert cfg.lengths == (3, 6, 9)
-    assert cfg.samples == 7
-    assert cfg.seed == 11
-    assert cfg.threshold == Fraction(1, 25)
-    assert cfg.workers == 2
-    assert cfg.out_dir == "results"
+    assert cfg == ExperimentConfig(experiment="pa_fraction", **values)
 
 
 def test_load_config_file_rejects_unknown_keys(tmp_path: Path):
@@ -97,6 +121,71 @@ def test_load_config_file_rejects_unknown_keys(tmp_path: Path):
         load_config_file(str(path), "pa_fraction")
     with pytest.raises(ConfigError):
         load_config_file(str(tmp_path / "missing.cfg"), "pa_fraction")
+
+
+def _write_config(path: Path, sections: dict) -> str:
+    path.write_text(
+        "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+            for name, body in sections.items()
+        )
+    )
+    return str(path)
+
+
+def _one_step_outside(f, symbol: str, bound):
+    step = Fraction(1, 1000) if isinstance(f.default, Fraction) else 1
+    return {">=": bound - step, ">": bound, "<=": bound + step, "<": bound}[symbol]
+
+
+_DECLARED_BOUNDS = [
+    pytest.param(f, symbol, bound, id=f"{f.name}{symbol}{bound}")
+    for f in fields(ExperimentConfig)
+    for (_test, symbol, bound) in f.metadata["bounds"]
+]
+
+
+def test_every_field_declares_its_range():
+    for f in fields(ExperimentConfig):
+        if f.name in ("experiment", "generators"):
+            assert f.metadata["choices"], f.name
+        elif f.name != "out_dir":
+            assert f.metadata["bounds"], f.name
+
+
+@pytest.mark.parametrize("f,symbol,bound", _DECLARED_BOUNDS)
+def test_cli_exit_code_one_step_outside_each_declared_bound(
+    tmp_path: Path, capsys, f, symbol, bound
+):
+    sections = {"walk": {"lengths": "2,4", "samples": "2"}}
+    value = _one_step_outside(f, symbol, bound)
+    key = harness._config_key(f)
+    sections.setdefault(f.metadata["section"], {})[key] = harness._canonical_value(value)
+    path = _write_config(tmp_path / "run.cfg", sections)
+    code = main(["pa_fraction", "--config", path, "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config error: {f.name} must be {symbol}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "genus,pair_budget,code",
+    [(3, None, 2), (3, 5, 0), (2, 2, 2), (2, 3, 0)],
+)
+def test_torelli_walk_needs_pair_budget_2g_minus_1(
+    tmp_path: Path, capsys, genus, pair_budget, code
+):
+    walk_keys = {"generators": "torelli", "lengths": "2,4", "samples": "2"}
+    if pair_budget is not None:
+        walk_keys["pair_budget"] = str(pair_budget)
+    sections = {"surface": {"genus": str(genus)}, "walk": walk_keys}
+    path = _write_config(tmp_path / "run.cfg", sections)
+    assert main(["torelli_pa_fraction", "--config", path, "--out", str(tmp_path)]) == code
+    if code == 2:
+        budget = 4 if pair_budget is None else pair_budget
+        assert (
+            f"leave branch punctures {budget + 2}..{2 * genus + 1}"
+            in capsys.readouterr().err
+        )
 
 
 def test_cli_exit_code_for_config_errors(tmp_path: Path, capsys):
@@ -115,6 +204,10 @@ def test_cli_exit_code_for_config_errors(tmp_path: Path, capsys):
         ("conjugacy_bounds", "conjugacy", "short_length", 0),
         ("exact_lemma", "sets", "set_count", 0),
         ("exact_lemma", "sets", "set_size", -1),
+        ("pa_fraction", "classify", "threshold", 0),
+        ("pa_fraction", "classify", "threshold", -1),
+        ("pa_fraction", "classify", "stabilization", -1),
+        ("pa_fraction", "classify", "stabilization", 1),
     ],
 )
 def test_cli_exit_code_for_out_of_range_fields(
@@ -124,14 +217,8 @@ def test_cli_exit_code_for_out_of_range_fields(
     if experiment == "torelli_pa_fraction":
         sections["walk"]["generators"] = "torelli"
     sections.setdefault(section, {})[field] = str(value)
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "".join(
-            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
-            for name, body in sections.items()
-        )
-    )
-    code = main([experiment, "--config", str(path), "--out", str(tmp_path)])
+    path = _write_config(tmp_path / "run.cfg", sections)
+    code = main([experiment, "--config", path, "--out", str(tmp_path)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
 
@@ -273,3 +360,11 @@ def test_exact_lemma_failures_exit_4_after_writing_outputs(
     with open(run_dir / "samples.jsonl") as handle:
         records = [json.loads(line) for line in handle]
     assert records and not any(r["passed"] for r in records)
+
+
+def test_readme_config_table_lists_every_declared_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for f in fields(ExperimentConfig):
+        if "section" in f.metadata:
+            key = harness._config_key(f)
+            assert f"| `{f.metadata['section']}` | `{key}` |" in readme, key
