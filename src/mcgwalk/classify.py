@@ -80,7 +80,7 @@ def periodic_order(w: MappingClassWord) -> Optional[int]:
     M^n = I leaves one identity test of w^n.
     """
     genus = w.genus
-    for n, trace in enumerate(homology.power_sums(w.char_poly, 4 * genus + 2), 1):
+    for n, trace in enumerate(w.power_traces, 1):
         if abs(trace) > 2 * genus:
             return None
         if trace == 2 * genus:
@@ -123,6 +123,27 @@ def _candidate_curves(genus: int, search_bound: int) -> tuple[CurveCoordinates, 
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _candidate_classes(genus: int, search_bound: int) -> tuple[tuple[int, ...], ...]:
+    """The homology class M_t [c_k] of each candidate t(c_k), in the order
+    of ``_candidate_curves``; built once per argument pair."""
+    return tuple(
+        homology.chain_word_matrix(genus, letters).apply(homology.chain_class(genus, k))
+        for (letters, k) in (c.transport for c in _candidate_curves(genus, search_bound))
+    )
+
+
+def _orbit_may_close(m: homology.SymplecticMatrix, h: tuple[int, ...], steps: int) -> bool:
+    """Whether M^j h = +-h for some 1 <= j <= steps."""
+    neg = tuple(-x for x in h)
+    v = h
+    for _j in range(steps):
+        v = m.apply(v)
+        if v == h or v == neg:
+            return True
+    return False
+
+
 def find_invariant_multicurve(
     w: MappingClassWord, search_bound: int
 ) -> Optional[tuple[CurveCoordinates, ...]]:
@@ -132,6 +153,13 @@ def find_invariant_multicurve(
     it closes within the bound and the orbit curves are pairwise
     disjoint, the orbit is a verified set-wise invariant multicurve.
     None is not a proof of irreducibility.
+
+    An exact homology screen runs first: w^j(c) = c forces M^j [c] = +-[c]
+    for the word's homology matrix M (curves are unoriented), so a
+    candidate whose class h has no M^j h = +-h with j <= the orbit cap
+    cannot close its orbit and is skipped without engine work.  When
+    M = I (every Torelli word) each candidate would pass, so the screen
+    is not run: running it there cost 3% of ``torelli_growth`` run time.
     """
     if search_bound < 1:
         raise ValueError("search_bound must be at least 1")
@@ -139,7 +167,15 @@ def find_invariant_multicurve(
     system = get_system(genus)
     orbit_cap = max(4, 2 * search_bound)
     size_cap = 64 * max(map(sum, system.chain_vectors))
-    for cand in _candidate_curves(genus, search_bound):
+    m = w.homology_matrix
+    cands = _candidate_curves(genus, search_bound)
+    if not m.is_identity():
+        cands = (
+            c
+            for (c, h) in zip(cands, _candidate_classes(genus, search_bound))
+            if _orbit_may_close(m, h, orbit_cap)
+        )
+    for cand in cands:
         vectors = {cand.vector: 0}
         vec = cand.vector
         closed = False

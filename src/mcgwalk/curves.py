@@ -74,6 +74,11 @@ class MappingClassWord:
         """The characteristic polynomial of ``homology_matrix``, built once."""
         return homology.char_poly(self.homology_matrix)
 
+    @cached_property
+    def power_traces(self) -> tuple[int, ...]:
+        """tr M^n for n = 1 .. 4g + 2, M the homology matrix; built once."""
+        return tuple(homology.power_sums(self.char_poly, 4 * self.genus + 2))
+
     def __mul__(self, other: "MappingClassWord") -> "MappingClassWord":
         if other.genus != self.genus:
             raise ValueError("genus mismatch")

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 from . import classify, curve_graph, curves, walk
 from .curve_graph import FiniteElementSet
 from .curves import MappingClassWord
+from .engine import kernel
 from .errors import BudgetExceededError, ConfigError, InvariantViolationError
 from .surface import (
     GeneratorSet,
@@ -475,15 +476,22 @@ def _run_rel_length_growth(cfg: ExperimentConfig) -> RunResult:
 # --- conjugacy_bounds ---
 
 
+def _probe(genus: int) -> tuple[int, ...]:
+    """The fixed nonzero vector (1, 2, ..., 2g) of the conjugacy screen."""
+    return tuple(range(1, 2 * genus + 1))
+
+
 @lru_cache(maxsize=4)
 def _conjugator_ball(cfg: ExperimentConfig):
-    """Ball elements as (witness word, homology matrix) pairs."""
+    """Ball elements as (witness word, homology matrix M_v, M_v x) triples,
+    x the ``_probe`` vector."""
     _s, gs, _mu, _budgets = _context(cfg)
     ball = curve_graph.enumerate_ball(gs, cfg.radius, budget=cfg.budget)
+    probe = _probe(cfg.genus)
     out = []
     for _key, (_dist, letters) in sorted(ball.items()):
         word = MappingClassWord.make(cfg.genus, letters)
-        out.append((word, word.homology_matrix))
+        out.append((word, word.homology_matrix, word.homology_matrix.apply(probe)))
     return tuple(out)
 
 
@@ -507,10 +515,10 @@ def _conjugacy_task(args) -> dict:
     u_word = _random_gs_word(rng, gs, cfg.genus, rng.randrange(cfg.radius + 1))
     b_word = u_word * s_word * u_word.inverse()
     target = curves.element_state(b_word)
-    s_matrix = s_word.homology_matrix
+    s_probe = s_word.homology_matrix.apply(_probe(cfg.genus))
     best_upper: Optional[int] = None
-    for (v, v_matrix) in _conjugator_ball(cfg):
-        if v_matrix * s_matrix != target.matrix * v_matrix:
+    for (v, v_matrix, v_probe) in _conjugator_ball(cfg):
+        if v_matrix.apply(s_probe) != target.matrix.apply(v_probe):
             continue
         if curves.canonical_key(v * s_word * v.inverse()) != target.key:
             continue
@@ -874,6 +882,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     header = [
         f"experiment: {cfg.experiment}",
         f"config hash: {chash}",
+        f"kernel backend: {kernel.BACKEND}",
         f"records: {len(records)}",
         f"elapsed: {elapsed:.2f}s",
         "",

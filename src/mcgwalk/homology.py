@@ -18,6 +18,7 @@ matrix is the identity).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -71,7 +72,7 @@ class SymplecticMatrix:
         return SymplecticMatrix.identity(self.dimension) if out is None else out
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.entries)
+        return tuple([sum(map(operator.mul, row, vec)) for row in self.entries])
 
 
 def symplectic_form(g: int) -> SymplecticMatrix:
@@ -380,11 +381,17 @@ class HomologyCertificate:
 
 def casson_bleiler_certificate(w) -> HomologyCertificate:
     """One-sided pseudo-Anosov certificate from the homology action of
-    the word w (its ``char_poly``, built once per word)."""
+    the word w (its ``char_poly`` and ``power_traces``, built once per
+    word).
+
+    A cyclotomic q has every root on the unit circle, so each power sum
+    satisfies |p_k| <= deg q; one larger trace rules the cyclotomic case
+    out without calling ``is_cyclotomic``.
+    """
     q = w.char_poly
     if not is_irreducible(q):
         return HomologyCertificate("Inconclusive", q, "reducible")
-    if is_cyclotomic(q):
+    if all(abs(p) <= q.degree for p in w.power_traces) and is_cyclotomic(q):
         return HomologyCertificate("Inconclusive", q, "cyclotomic")
     if power_substitution(q) is not None:
         return HomologyCertificate("Inconclusive", q, "power_substitution")

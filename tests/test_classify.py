@@ -281,7 +281,9 @@ def _chain(length):
 def _periodic_order_cases():
     """Random words, conjugates and powers of the chain rotations (with
     order 4g + 2 = 18 at genus 4, Wiman's bound), genus-2 Torelli
-    locations, and the chain-relation words of criterion 2."""
+    locations, the chain-relation words of criterion 2, conjugated twists
+    u t^k u^-1 and genus-2 and genus-3 Torelli words with pair_budget
+    2g - 1."""
     rng = random.Random(61)
     cases = []
     for genus in (2, 3, 4):
@@ -309,6 +311,24 @@ def _periodic_order_cases():
     for index in range(4):
         path = walk.sample_path(mu, 4, walk.sample_seed(5, index))
         cases.extend(path.location(n) for n in range(1, 5))
+    for genus in (2, 3, 4):
+        for _trial in range(10):
+            u = MappingClassWord.make(
+                genus, _random_letters(rng, genus, rng.randrange(1, 4))
+            )
+            k = rng.choice((1, 2, 3, -1, -2))
+            twist = twist_word(genus, rng.randrange(1, 2 * genus + 2), k)
+            cases.append(u * twist * u.inverse())
+    for genus in (2, 3):
+        gens = torelli_generators(Surface(genus, 0), 2 * genus - 1).generators
+        for _trial in range(6):
+            letters = ()
+            for _j in range(rng.randrange(1, 4)):
+                step = gens[rng.randrange(len(gens))].word
+                if rng.randrange(2):
+                    step = tuple((k, -s) for (k, s) in reversed(step))
+                letters += step
+            cases.append(MappingClassWord.make(genus, letters))
     return cases
 
 
@@ -415,3 +435,150 @@ def test_torelli_periodic_screen_is_one_battery_pass(monkeypatch):
     assert 1 <= len(calls) <= len(battery)
     assert all(letters == w.letters for (letters, _vec) in calls)
     assert [vec for (_letters, vec) in calls] == list(battery[: len(calls)])
+
+
+# -- exact homology screens ------------------------------------------------
+
+
+def _algebraic_intersection(genus, x, y):
+    return sum(a * b for a, b in zip(x, homology.symplectic_form(genus).apply(y)))
+
+
+@pytest.mark.parametrize("genus,bound", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_candidate_classes_agree_with_geometric_intersection(genus, bound):
+    """|<h_a, h_b>| <= i(a, b) and <h_a, h_b> = i(a, b) mod 2 for every
+    pair of candidates, with h the class from the candidate's transport."""
+    cands = classify._candidate_curves(genus, bound)
+    classes = classify._candidate_classes(genus, bound)
+    assert len(classes) == len(cands)
+    for (k, c) in enumerate(curves.chain_curves(Surface(genus, 0)), 1):
+        assert classes[k - 1] == homology.chain_class(genus, k) and c == cands[k - 1]
+    disjoint = 0
+    for a in range(len(cands)):
+        for b in range(a + 1, len(cands)):
+            algebraic = _algebraic_intersection(genus, classes[a], classes[b])
+            geometric = curves.intersection(cands[a], cands[b])
+            assert abs(algebraic) <= geometric
+            assert (algebraic - geometric) % 2 == 0
+            disjoint += geometric == 0
+    assert disjoint > 0
+
+
+def test_closed_candidate_orbits_pass_the_homology_screen():
+    """w^j(c) = c with j <= the orbit cap forces M^j [c] = +-[c], so the
+    screen never skips a candidate whose orbit closes; the orbits are
+    followed here without the search's size cap."""
+    closures = set()
+    for w in _periodic_order_cases():
+        system = get_system(w.genus)
+        m = w.homology_matrix
+        for bound in (1, 2) if w.genus <= 3 else (1,):
+            orbit_cap = max(4, 2 * bound)
+            cands = classify._candidate_curves(w.genus, bound)
+            classes = classify._candidate_classes(w.genus, bound)
+            for (cand, h) in zip(cands, classes):
+                vec = cand.vector
+                for j in range(1, orbit_cap + 1):
+                    vec = system.apply_word(w.letters, vec)
+                    if vec == cand.vector:
+                        image = m.power(j).apply(h)
+                        assert image in (h, tuple(-x for x in h))
+                        assert classify._orbit_may_close(m, h, orbit_cap)
+                        closures.add((w.genus, j, m.is_identity()))
+                        break
+    # closures at every genus, after one step and after more, Torelli included
+    assert {g for (g, _j, _t) in closures} == {2, 3, 4}
+    assert any(j >= 2 for (_g, j, _t) in closures)
+    assert any(t for (_g, _j, t) in closures)
+
+
+def _certificate_reference(w):
+    """The certificate with ``is_cyclotomic`` always called."""
+    q = w.char_poly
+    if not homology.is_irreducible(q):
+        return homology.HomologyCertificate("Inconclusive", q, "reducible")
+    if homology.is_cyclotomic(q):
+        return homology.HomologyCertificate("Inconclusive", q, "cyclotomic")
+    if homology.power_substitution(q) is not None:
+        return homology.HomologyCertificate("Inconclusive", q, "power_substitution")
+    return homology.HomologyCertificate("CertifiedPA", q, None)
+
+
+def test_certificate_trace_shortcut_matches_the_reference():
+    cases = _periodic_order_cases()
+    certs = [homology.casson_bleiler_certificate(w) for w in cases]
+    assert certs == [_certificate_reference(w) for w in cases]
+    assert {"reducible", "cyclotomic", None} <= {c.failed_subtest for c in certs}
+
+
+def test_multicurve_screen_makes_no_engine_call_without_root_of_unity_eigenvalues(
+    monkeypatch,
+):
+    """No eigenvalue of M has lambda^(2j) = 1 for j <= 4, so no class h has
+    M^j h = +-h and the search applies the word to no candidate."""
+    import sympy
+
+    words = [
+        _word(((1, 1), (2, -1), (3, 1), (4, -1))),  # homology pA
+        _word(_chain(4)),  # periodic of order 10
+        MappingClassWord.make(3, ((1, 1), (2, -1), (3, 1), (4, -1), (5, 1), (6, -1))),
+    ]
+    for w in words:
+        m = sympy.Matrix(w.homology_matrix.entries)
+        eye = sympy.eye(2 * w.genus)
+        assert all((m ** (2 * j) - eye).det() != 0 for j in range(1, 5))
+        for bound in (1, 2):
+            classify._candidate_classes(w.genus, bound)
+    calls = []
+    apply_word = TwistSystem.apply_word
+
+    def counting(self, letters, vec):
+        calls.append(1)
+        return apply_word(self, letters, vec)
+
+    monkeypatch.setattr(TwistSystem, "apply_word", counting)
+    for w in words:
+        for bound in (1, 2):
+            assert classify.find_invariant_multicurve(w, bound) is None
+    assert calls == []
+
+
+def test_multicurve_search_runs_no_screen_when_m_is_the_identity(monkeypatch):
+    """Every class passes the screen when M = I, so a Torelli word's search
+    neither builds the classes nor screens a candidate."""
+    gens = torelli_generators(S2, 3).generators
+    words = [
+        MappingClassWord.make(2, gens[0].word),
+        MappingClassWord.make(2, gens[1].word * 2),
+    ]
+    expected = [classify.find_invariant_multicurve(w, 1) for w in words]
+
+    def no_screen(*args):
+        raise AssertionError("screen ran on a word with M = I")
+
+    monkeypatch.setattr(classify, "_candidate_classes", no_screen)
+    monkeypatch.setattr(classify, "_orbit_may_close", no_screen)
+    for (w, found) in zip(words, expected):
+        assert w.homology_matrix.is_identity()
+        assert classify.find_invariant_multicurve(w, 1) == found
+
+
+def test_certificate_skips_the_cyclotomic_test_on_a_large_trace(monkeypatch):
+    calls = []
+    cyclotomic = homology.is_cyclotomic
+
+    def counting(q):
+        calls.append(q)
+        return cyclotomic(q)
+
+    monkeypatch.setattr(homology, "is_cyclotomic", counting)
+    large = _word(((1, 1), (2, -1), (3, 1), (4, -1)))
+    assert max(map(abs, large.power_traces)) > 4
+    assert homology.casson_bleiler_certificate(large).certified
+    assert calls == []
+    # all traces within 2g: the test runs and decides
+    rotation = _word(_chain(4))
+    assert max(map(abs, rotation.power_traces)) <= 4
+    cert = homology.casson_bleiler_certificate(rotation)
+    assert cert.failed_subtest == "cyclotomic"
+    assert calls == [rotation.char_poly]

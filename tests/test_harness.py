@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mcgwalk import harness
+from mcgwalk.engine import kernel
 from mcgwalk.errors import ConfigError
 from mcgwalk.harness import (
     ExperimentConfig,
@@ -258,6 +260,59 @@ def test_cli_smoke_run_writes_layout(tmp_path: Path, capsys):
     out = tmp_path / "pa_fraction" / config_hash(cfg)
     for name in ("summary.txt", "aggregate.csv", "samples.jsonl", "plot.dat"):
         assert (out / name).exists(), name
+
+
+def test_summary_header_names_the_kernel_backend(tmp_path: Path):
+    report = run_experiment(_cfg(out_dir=str(tmp_path)))
+    header = (Path(report.out_path) / "summary.txt").read_text().splitlines()
+    assert header[:3] == [
+        "experiment: pa_fraction",
+        f"config hash: {report.config_hash}",
+        f"kernel backend: {kernel.BACKEND}",
+    ]
+    assert kernel.BACKEND in ("compiled", "python")
+
+
+def test_conjugacy_probe_keeps_every_dense_match():
+    """M_v M_s = M_t M_v implies M_v (M_s x) = M_t (M_v x) for the probe x,
+    so the probe screen never drops a ball element with M_v M_s M_v^-1 = M_t."""
+    cfg = _cfg(experiment="conjugacy_bounds", lengths=(1,), radius=2)
+    _s, gs, _mu, _budgets = harness._context(cfg)
+    ball = harness._conjugator_ball(cfg)
+    probe = harness._probe(cfg.genus)
+    assert probe == (1, 2, 3, 4)
+    rng = random.Random(64)
+    dense_matches = 0
+    for _trial in range(20):
+        s_word = harness._random_gs_word(rng, gs, cfg.genus, 1 + rng.randrange(3))
+        u_word = harness._random_gs_word(rng, gs, cfg.genus, rng.randrange(3))
+        s_matrix = s_word.homology_matrix
+        t_matrix = (u_word * s_word * u_word.inverse()).homology_matrix
+        s_probe = s_matrix.apply(probe)
+        for (v, v_matrix, v_probe) in ball:
+            assert v_matrix == v.homology_matrix
+            assert v_probe == v_matrix.apply(probe)
+            if v_matrix * s_matrix == t_matrix * v_matrix:
+                assert v_matrix.apply(s_probe) == t_matrix.apply(v_probe)
+                dense_matches += 1
+    assert dense_matches >= 20
+
+
+def test_conjugacy_records_match_the_unscreened_search(monkeypatch):
+    """With the zero probe every ball element passes the screen, which is
+    the search without it; the records must not change."""
+    cfg = _cfg(experiment="conjugacy_bounds", lengths=(1,), samples=12, radius=2)
+    tasks = [(cfg, i) for i in range(cfg.samples)]
+    harness._conjugator_ball.cache_clear()
+    screened = [harness._conjugacy_task(t) for t in tasks]
+    monkeypatch.setattr(harness, "_probe", lambda genus: (0,) * (2 * genus))
+    harness._conjugator_ball.cache_clear()
+    try:
+        unscreened = [harness._conjugacy_task(t) for t in tasks]
+    finally:
+        harness._conjugator_ball.cache_clear()
+    assert screened == unscreened
+    assert any(r["found"] for r in screened)
 
 
 def test_samples_are_byte_identical_across_worker_counts(tmp_path: Path):

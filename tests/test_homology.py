@@ -144,6 +144,9 @@ def test_char_poly_is_cached_per_word():
     assert w.char_poly is q
     assert q == homology.char_poly(w.homology_matrix)
     assert homology.casson_bleiler_certificate(w).char_poly is q
+    traces = w.power_traces
+    assert w.power_traces is traces
+    assert traces == tuple(homology.power_sums(q, 4 * 3 + 2))
 
 
 def test_chain_classes_have_path_graph_pairings():
