@@ -151,6 +151,18 @@ def enumerate_ball(
     return out
 
 
+@lru_cache(maxsize=64)
+def ball_matrices(gs: GeneratorSet, k: int, budget: int = DEFAULT_BALL_BUDGET) -> frozenset:
+    """The homology matrix entries held in the radius-k ball's keys."""
+    return frozenset(key[1] for key in enumerate_ball(gs, k, budget=budget))
+
+
+def in_ball(w: MappingClassWord, ball: dict, matrices: frozenset) -> bool:
+    """True iff w's key is in ``ball``; built only if w's matrix is in
+    ``matrices``, the ball's ``ball_matrices`` (keys hold the matrix)."""
+    return w.homology_matrix.entries in matrices and curves.canonical_key(w) in ball
+
+
 def ball_membership(
     w: MappingClassWord,
     k: int,
@@ -172,23 +184,24 @@ def k_dense_subset(
 ) -> FiniteElementSet:
     """The elements of R within word-metric distance k of another element.
 
-    The difference r^{-1} r' is tested for ball membership against one
-    shared radius-k key set, so the ball is enumerated once.
+    The difference r^{-1} r' is tested by ``in_ball`` against one shared
+    radius-k ball, so the ball is enumerated once and a key is built
+    only on a matrix hit.
     """
     if len(R) <= 1:
         return FiniteElementSet.make(())
     genus = R.words[0].genus
     if gs is None:
         gs = humphries_generators(Surface(genus, 0))
-    ball_keys = set(enumerate_ball(gs, k, budget=budget))
+    ball = enumerate_ball(gs, k, budget=budget)
+    matrices = ball_matrices(gs, k, budget)
     dense_indices: set[int] = set()
     words = R.words
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
             if i in dense_indices and j in dense_indices:
                 continue
-            diff = words[i].inverse() * words[j]
-            if curves.canonical_key(diff) in ball_keys:
+            if in_ball(words[i].inverse() * words[j], ball, matrices):
                 dense_indices.add(i)
                 dense_indices.add(j)
     return FiniteElementSet(

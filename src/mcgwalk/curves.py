@@ -282,21 +282,21 @@ class ElementState:
         return (self.images, self.matrix.entries)
 
     def left_mul(self, letters: Sequence[Letter]) -> "ElementState":
-        """The state of s*g, for g this state and s the word ``letters``."""
+        """The state of s*g, for g this state and s the word ``letters``:
+        one battery replay of the word's compiled program, one row update."""
         genus = self.matrix.dimension // 2
-        apply_word = get_system(genus).apply_word
         return ElementState(
-            tuple(apply_word(letters, v) for v in self.images),
+            get_system(genus).compile_word(letters).apply_all(self.images),
             homology.chain_word_times(genus, letters, self.matrix),
         )
 
 
 def element_state(w: MappingClassWord) -> ElementState:
-    """The exact state of the mapping class of w."""
+    """The exact state of the mapping class of w: one battery replay of
+    its compiled program."""
     system = get_system(w.genus)
     return ElementState(
-        tuple(system.apply_word(w.letters, v) for v in system.edge_battery),
-        w.homology_matrix,
+        system.compile_word(w.letters).apply_all(system.edge_battery), w.homology_matrix
     )
 
 

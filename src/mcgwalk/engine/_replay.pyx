@@ -25,3 +25,7 @@ def replay(vec, long[::1] steps, long[::1] perm):
     for f in range(size):
         out[perm[f]] = v[f]
     return tuple(out)
+
+
+def replay_all(vecs, long[::1] steps, long[::1] perm):
+    return tuple([replay(v, steps, perm) for v in vecs])

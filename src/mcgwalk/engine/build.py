@@ -1,8 +1,9 @@
 """Derivation of the generator flip programs on the punctured sphere.
 
-The oracle: the half twist exchanging punctures 1 and 2 is found by
-breadth first search over short flip sequences supported near the
-necklace arc E_1, and validated against hand-computed curve images.
+The oracle: the half twist exchanging punctures 1 and 2 flips the four
+edges ``chain_flips(n, 2)`` lists (the flips a breadth first search near
+the necklace arc E_1 finds), is closed by the isomorphism swapping
+punctures 1 and 2, and is validated against hand-computed curve images.
 All other half twists are its conjugates by the rotation program, which
 re-fans the two necklace disks and relabels.  These programs are long
 (16 to 40 flips at genus 2, up to 328 at genus 5), so they only serve
@@ -39,17 +40,15 @@ def _program_from_path(
     steps: Sequence[tuple[int, int, int, int, int]],
     end: SphereTriangulation,
     vertex_map: list[int],
-    base: Optional[SphereTriangulation] = None,
 ) -> Optional[FlipProgram]:
-    """Close a flip path into a program via an isomorphism back to base.
+    """Close a flip path into a program via an isomorphism back to the
+    necklace triangulation.
 
     ``vertex_map`` prescribes where each puncture of the end state must
-    go in the base triangulation.  Returns None when no orientation
+    go in the necklace triangulation.  Returns None when no orientation
     preserving isomorphism exists.
     """
-    if base is None:
-        base = necklace_triangulation(n)
-    for m in end.isomorphisms_to(base, vertex_map):
+    for m in end.isomorphisms_to(necklace_triangulation(n), vertex_map):
         perm = (m[2 * e] >> 1 for e in range(end.n_edges))
         return FlipProgram(end.n_edges, chain.from_iterable(steps), perm)
     return None
@@ -74,19 +73,6 @@ def rotation_program(n: int) -> FlipProgram:
     if prog is None:
         raise RuntimeError("rotation closure failed")
     return prog
-
-
-def _local_edges(n: int) -> list[int]:
-    """Edges meeting the support disk of the half twist about E_1."""
-    return [
-        necklace_edge(0, n),
-        necklace_edge(1, n),
-        necklace_edge(2, n),
-        inner_edge(1, n),
-        inner_edge(2, n),
-        outer_edge(1, n),
-        outer_edge(2, n),
-    ]
 
 
 def _half_twist_targets(n: int) -> dict[str, dict[int, int]]:
@@ -145,59 +131,21 @@ def _candidate_is_half_twist(n: int, prog: FlipProgram) -> Optional[str]:
     return None
 
 
-def half_twist_search(n: int, max_flips: int = 6) -> tuple[FlipProgram, str]:
-    """Find the half twist exchanging punctures 1 and 2 by flip search.
-
-    Breadth first over flip sequences confined to the seven edges
-    meeting the support disk, closed up by an isomorphism that swaps
-    punctures 1 and 2 and fixes every other puncture.  Puncture degrees
-    are tracked along the way, and a closing isomorphism is sought only
-    where they match the base triangulation's under that swap.
-    """
-    base = necklace_triangulation(n)
-    local = _local_edges(n)
-    vertex_map = list(range(n))
-    vertex_map[1], vertex_map[2] = 2, 1
-    start = base.copy()
-    degrees = [0] * n
-    for u in start.start:
-        degrees[u] += 1
-    target = [degrees[vertex_map[u]] for u in range(n)]
-    frontier: list[tuple[SphereTriangulation, list, list[int]]] = [(start, [], degrees)]
-    seen = {start.key()}
-    for _depth in range(max_flips):
-        next_frontier = []
-        for (tri, steps, degrees) in frontier:
-            for e in local:
-                if not tri.is_flippable(e):
-                    continue
-                t2 = tri.copy()
-                step = t2.flip(e)
-                k = t2.key()
-                if k in seen:
-                    continue
-                seen.add(k)
-                path = steps + [step]
-                deg2 = list(degrees)
-                for u in tri.endpoints(e):
-                    deg2[u] -= 1
-                for u in t2.endpoints(e):
-                    deg2[u] += 1
-                if deg2 == target:
-                    prog = _program_from_path(n, path, t2, vertex_map, base)
-                    if prog is not None:
-                        tag = _candidate_is_half_twist(n, prog)
-                        if tag is not None:
-                            return prog, tag
-                next_frontier.append((t2, path, deg2))
-        frontier = next_frontier
-    raise RuntimeError("half twist not found within the flip budget")
-
-
 def oracle_programs(n: int) -> list[FlipProgram]:
-    """The oracle programs of sigma_1 .. sigma_{n-1}: the searched half
-    twist about E_1 and its conjugates by the rotation."""
-    sigma1, _chirality = half_twist_search(n)
+    """The oracle programs of sigma_1 .. sigma_{n-1}: the half twist about
+    E_1 and its conjugates by the rotation.
+
+    The half twist flips ``chain_flips(n, 2)`` and is closed by the
+    isomorphism swapping punctures 1 and 2; RuntimeError unless it maps
+    the curves around {0,1} and {2,3} to the hand-computed images.
+    """
+    tri = necklace_triangulation(n)
+    steps = [tri.flip(e) for e in chain_flips(n, 2)]
+    swap = list(range(n))
+    swap[1], swap[2] = 2, 1
+    sigma1 = _program_from_path(n, steps, tri, swap)
+    if sigma1 is None or _candidate_is_half_twist(n, sigma1) is None:
+        raise RuntimeError("half twist closure failed")
     rho = rotation_program(n)
     rho_inv = rho.inverse()
     raw = [sigma1] * (n - 1)

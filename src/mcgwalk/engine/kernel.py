@@ -12,3 +12,4 @@ except ImportError:  # pragma: no cover
     BACKEND = "python"
 
 replay = _impl.replay
+replay_all = _impl.replay_all

@@ -23,3 +23,21 @@ def replay(vec, steps, perm):
     for f, g in enumerate(perm):
         out[g] = v[f]
     return tuple(out)
+
+
+def replay_all(vecs, steps, perm):
+    """``replay`` of each vector of ``vecs``, unpacking the steps once."""
+    it = iter(steps)
+    flips = list(zip(it, it, it, it, it))
+    inv = [0] * len(perm)
+    for f, g in enumerate(perm):
+        inv[g] = f
+    out = []
+    for vec in vecs:
+        v = list(vec)
+        for (e, a, b, c, d) in flips:
+            s = v[a] + v[c]
+            t = v[b] + v[d]
+            v[e] = (s if s >= t else t) - v[e]
+        out.append(tuple([v[f] for f in inv]))
+    return tuple(out)

@@ -16,8 +16,8 @@ the deck involution, which the homology action (-I) resolves.
 
 Each generator runs a short flip program from ``build.chain_flips``
 (2 to 4 flips, 4g - 2 for sigma_{2g+1}), checked when the system is
-built against its oracle, the searched half twist or one of its
-rotation conjugates, on the whole edge battery.  The system keeps one
+built against its oracle, the half twist sigma_2 or one of its rotation
+conjugates, on the whole edge battery.  The system keeps one
 table, ``programs``, of each letter's ``FlipProgram``; a word is a
 ``FlipProgram`` too, and acts by one kernel replay of its cancelled
 steps: the letters' steps are concatenated, and ``cancel_flips``

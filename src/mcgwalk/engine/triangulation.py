@@ -286,9 +286,10 @@ class FlipProgram:
     ``steps`` holds the flips flat, five entries (e, a, b, c, d) per
     flip, and ``perm`` sends slot f of the final state to output index
     ``perm[f]``; both are ``array('l')``, the layout the replay kernel
-    reads, so ``apply`` is one ``kernel.replay`` call.  Programs compose
-    and invert exactly; they represent mapping classes acting on normal
-    coordinates.  Programs are shared, so callers must not modify them.
+    reads, so ``apply`` and ``apply_all`` are one kernel call each.
+    Programs compose and invert exactly; they represent mapping classes
+    acting on normal coordinates.  Programs are shared, so callers must
+    not modify them.
     """
 
     __slots__ = ("size", "steps", "perm")
@@ -313,6 +314,9 @@ class FlipProgram:
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return kernel.replay(vec, self.steps, self.perm)
+
+    def apply_all(self, vecs: Iterable[Sequence[int]]) -> tuple:
+        return kernel.replay_all(vecs, self.steps, self.perm)
 
     def then(self, other: "FlipProgram") -> "FlipProgram":
         """The program applying ``self`` first, then ``other``."""

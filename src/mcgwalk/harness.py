@@ -737,24 +737,29 @@ def _lemma_cell_task(args) -> list[dict]:
     _s, gs, mu, _budgets = _context(cfg)
     rng = random.Random(f"{cfg.seed}/lemma/{k}/{m}/{n}")
     pool_measure = walk.exact_convolution(mu, n, budget=cfg.budget)
-    pool = list(pool_measure.representatives)
-    ball_keys = set(curve_graph.enumerate_ball(gs, k - 1, budget=cfg.budget))
+    pool = pool_measure.representatives
+    ball = curve_graph.enumerate_ball(gs, k - 1, budget=cfg.budget)
+    matrices = curve_graph.ball_matrices(gs, k - 1, cfg.budget)
     records = []
     for set_index in range(cfg.set_count):
         target = rng.randrange(cfg.set_size + 1)
         order = list(range(len(pool)))
         rng.shuffle(order)
-        chosen: list[MappingClassWord] = []
+        chosen: list[int] = []
         for pos in order:
             if len(chosen) >= target:
                 break
             cand = pool[pos]
-            if all(
-                curves.canonical_key(x.inverse() * cand) not in ball_keys
+            if not any(
+                curve_graph.in_ball(pool[x].inverse() * cand, ball, matrices)
                 for x in chosen
             ):
-                chosen.append(cand)
-        X = FiniteElementSet.make(chosen)
+                chosen.append(pos)
+        # the pool's keys are distinct
+        X = FiniteElementSet(
+            tuple(pool[x] for x in chosen),
+            tuple(pool_measure.masses[x][0] for x in chosen),
+        )
         report = walk.separated_inequality_check(
             mu, X, k, m, n, gs=gs, budget=cfg.budget
         )

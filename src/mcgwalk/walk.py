@@ -282,11 +282,11 @@ def separated_inequality_check(
     mu_n = exact_convolution(mu, n, budget=budget)
     mu_m = exact_convolution(mu, m, budget=budget)
     lhs = sum((mu_n.mass_of_key(key) for key in X.keys), Fraction(0))
-    ball_keys = set(curve_graph.enumerate_ball(gs, (k - 1) // 2, budget=budget))
+    ball = curve_graph.enumerate_ball(gs, (k - 1) // 2, budget=budget)
     ball_mass = Fraction(0)
     max_ball = Fraction(0)
     for (key, mass) in mu_m.masses:
-        if key in ball_keys:
+        if key in ball:
             ball_mass += mass
             if mass > max_ball:
                 max_ball = mass

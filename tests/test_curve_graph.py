@@ -10,7 +10,7 @@ from mcgwalk import curve_graph as cg
 from mcgwalk import curves
 from mcgwalk.curves import MappingClassWord, twist_word
 from mcgwalk.errors import BudgetExceededError
-from mcgwalk.surface import Surface, humphries_generators
+from mcgwalk.surface import Surface, humphries_generators, separating_word
 
 S2 = Surface(2, 0)
 
@@ -141,6 +141,42 @@ def test_separation_matches_dense_subset():
         for k in (1, 2, 3):
             expected = len(cg.k_dense_subset(X, k - 1)) == 0
             assert cg.is_k_separated(X, k) == expected
+
+
+class Everything:
+    """A matrix set holding every matrix: ``in_ball`` without the screen."""
+
+    def __contains__(self, _entries) -> bool:
+        return True
+
+
+def test_matrix_screen_keeps_the_dense_subsets(monkeypatch):
+    gs = humphries_generators(S2)
+    # a matrix hit that is a key miss: the separating twist acts as I on H_1
+    twist = _word(separating_word(S2, 1))
+    assert twist.homology_matrix.entries in cg.ball_matrices(gs, 2)
+    assert not cg.in_ball(twist, cg.enumerate_ball(gs, 2), cg.ball_matrices(gs, 2))
+    rng = random.Random(36)
+    sets = [cg.FiniteElementSet.make([_word(()), twist])]
+    sets += [
+        cg.FiniteElementSet.make([_random_word(rng, rng.randrange(0, 5)) for _ in range(6)])
+        for _trial in range(8)
+    ]
+    keys = [0]
+    canonical_key = curves.canonical_key
+
+    def counting(w):
+        keys[0] += 1
+        return canonical_key(w)
+
+    monkeypatch.setattr(curves, "canonical_key", counting)
+    screened = [cg.k_dense_subset(R, k) for R in sets for k in (1, 2)]
+    screened_keys = keys[0]
+    monkeypatch.setattr(cg, "ball_matrices", lambda *args: Everything())
+    assert [cg.k_dense_subset(R, k) for R in sets for k in (1, 2)] == screened
+    assert screened[0] == screened[1] == cg.FiniteElementSet((), ())
+    assert any(len(Rk) for Rk in screened)
+    assert screened_keys < keys[0] - screened_keys
 
 
 def test_separation_examples():

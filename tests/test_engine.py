@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 
 from mcgwalk.engine import build, kernel, kernel_py
 from mcgwalk.engine.build import (
+    _candidate_is_half_twist,
+    _program_from_path,
     chain_flips,
     flip_search,
-    half_twist_search,
     oracle_programs,
     rotation_program,
 )
-from mcgwalk.engine.system import cancel_flips, get_system
+from mcgwalk.engine.system import TwistSystem, cancel_flips, get_system
 from mcgwalk.engine.triangulation import (
     FlipProgram,
+    SphereTriangulation,
+    inner_edge,
     necklace_edge,
     necklace_triangulation,
+    outer_edge,
 )
 from mcgwalk.surface import Surface, separating_word, torelli_generators
 from mcgwalk.walk import make_step_distribution, sample_path
@@ -89,6 +93,95 @@ def test_rotation_shifts_necklace_curves():
         shifted = tri.pair_curve(necklace_edge((i - 1) % n, n))
         assert prog.apply(list(curve)) == shifted
     del system
+
+
+def half_twist_search(n: int, max_flips: int = 6) -> tuple[FlipProgram, str]:
+    """Find the half twist exchanging punctures 1 and 2 by flip search.
+
+    Breadth first over flip sequences confined to the seven edges
+    meeting the support disk, closed up by an isomorphism that swaps
+    punctures 1 and 2 and fixes every other puncture.  Puncture degrees
+    are tracked along the way, and a closing isomorphism is sought only
+    where they match the base triangulation's under that swap.
+    """
+    base = necklace_triangulation(n)
+    local = [
+        necklace_edge(0, n), necklace_edge(1, n), necklace_edge(2, n),
+        inner_edge(1, n), inner_edge(2, n), outer_edge(1, n), outer_edge(2, n),
+    ]
+    vertex_map = list(range(n))
+    vertex_map[1], vertex_map[2] = 2, 1
+    start = base.copy()
+    degrees = [0] * n
+    for u in start.start:
+        degrees[u] += 1
+    target = [degrees[vertex_map[u]] for u in range(n)]
+    frontier: list[tuple[SphereTriangulation, list, list[int]]] = [(start, [], degrees)]
+    seen = {start.key()}
+    for _depth in range(max_flips):
+        next_frontier = []
+        for (tri, steps, degrees) in frontier:
+            for e in local:
+                if not tri.is_flippable(e):
+                    continue
+                t2 = tri.copy()
+                step = t2.flip(e)
+                k = t2.key()
+                if k in seen:
+                    continue
+                seen.add(k)
+                path = steps + [step]
+                deg2 = list(degrees)
+                for u in tri.endpoints(e):
+                    deg2[u] -= 1
+                for u in t2.endpoints(e):
+                    deg2[u] += 1
+                if deg2 == target:
+                    prog = _program_from_path(n, path, t2, vertex_map)
+                    if prog is not None:
+                        tag = _candidate_is_half_twist(n, prog)
+                        if tag is not None:
+                            return prog, tag
+                next_frontier.append((t2, path, deg2))
+        frontier = next_frontier
+    raise RuntimeError("half twist not found within the flip budget")
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_half_twist_search_returns_the_built_sigma_2_oracle(genus):
+    n = 2 * genus + 2
+    assert half_twist_search(n)[0] == oracle_programs(n)[1]
+
+
+def test_twist_system_build_runs_no_search(monkeypatch):
+    flips = [0]
+    flip = SphereTriangulation.flip
+
+    def counting(self, e):
+        flips[0] += 1
+        return flip(self, e)
+
+    monkeypatch.setattr(SphereTriangulation, "flip", counting)
+    TwistSystem(2)
+    # sigma_2's oracle, the rotation (2(n - 3) flips) and each short program
+    n = 6
+    assert flips[0] == len(chain_flips(n, 2)) + 2 * (n - 3) + sum(map(len, _table(n)))
+
+
+def test_fixes_battery_stops_at_the_first_moved_vector(monkeypatch):
+    system = get_system(2)
+    moved = [v for v in system.edge_battery if system.apply_word(((1, 1),), v) != v]
+    first = system.edge_battery.index(moved[0])
+    calls = [0]
+    apply_word = TwistSystem.apply_word
+
+    def counting(self, letters, vec):
+        calls[0] += 1
+        return apply_word(self, letters, vec)
+
+    monkeypatch.setattr(TwistSystem, "apply_word", counting)
+    assert not system.fixes_battery(((1, 1),))
+    assert calls[0] == first + 1 < len(system.edge_battery)
 
 
 def test_half_twist_search_is_short_and_fixes_far_curves():
@@ -168,6 +261,25 @@ def test_compiled_and_python_kernels_agree():
         fast = kernel.replay(list(vec), prog.steps, prog.perm)
         slow = kernel_py.replay(list(vec), prog.steps, prog.perm)
         assert fast == slow
+
+
+def _replay_cases(genus, rng):
+    system = get_system(genus)
+    programs = [FlipProgram.identity(system.n_edges)]
+    programs += [system.compile_word(_random_word(rng, genus, rng.randrange(1, 60))) for _ in range(20)]
+    wide = [tuple(x << 70 for x in v) for v in system.edge_battery[:3]]
+    return (programs, system.edge_battery + tuple(wide))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+@pytest.mark.parametrize("impl", [kernel, kernel_py], ids=["active", "python"])
+def test_replay_all_equals_the_per_vector_replay(impl, genus):
+    (programs, vecs) = _replay_cases(genus, random.Random(genus))
+    for prog in programs:
+        expected = tuple(kernel_py.replay(v, prog.steps, prog.perm) for v in vecs)
+        assert impl.replay_all(vecs, prog.steps, prog.perm) == expected
+        assert prog.apply_all(list(vecs)) == expected
+    assert impl.replay_all((), programs[1].steps, programs[1].perm) == ()
 
 
 def test_flip_program_identity_roundtrip():

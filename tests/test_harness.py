@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from mcgwalk import harness
+from mcgwalk import curve_graph, harness, walk
+from mcgwalk.curve_graph import FiniteElementSet
 from mcgwalk.engine import kernel
 from mcgwalk.errors import ConfigError
 from mcgwalk.harness import (
@@ -393,6 +394,44 @@ def test_exact_lemma_run_passes(tmp_path: Path):
         lhs = Fraction(r["lhs"])
         rhs = Fraction(r["rhs"])
         assert lhs <= rhs
+
+
+def _lemma_cells():
+    cfg = _cfg(
+        experiment="exact_lemma", generators="two_twist", lengths=(3, 4),
+        k_values=(2, 3), set_count=4, seed=3,
+    )
+    return [(cfg, k, m, n) for k in cfg.k_values for n in cfg.lengths for m in range(1, n)]
+
+
+class Everything:
+    """A matrix set holding every matrix: ``in_ball`` without the screen."""
+
+    def __contains__(self, _entries) -> bool:
+        return True
+
+
+def test_lemma_records_match_the_unscreened_search(monkeypatch):
+    screened = [harness._lemma_cell_task(cell) for cell in _lemma_cells()]
+    monkeypatch.setattr(curve_graph, "ball_matrices", lambda *args: Everything())
+    assert [harness._lemma_cell_task(cell) for cell in _lemma_cells()] == screened
+    assert max(r["set_size"] for cell in screened for r in cell) > 1
+
+
+def test_lemma_sets_carry_the_pool_keys(monkeypatch):
+    sets = []
+    check = walk.separated_inequality_check
+
+    def recording(mu, X, *args, **kwargs):
+        sets.append(X)
+        return check(mu, X, *args, **kwargs)
+
+    monkeypatch.setattr(walk, "separated_inequality_check", recording)
+    for cell in _lemma_cells():
+        harness._lemma_cell_task(cell)
+    assert max(map(len, sets)) > 1
+    for X in sets:
+        assert X.keys == FiniteElementSet.make(X.words).keys
 
 
 def test_exact_lemma_failures_exit_4_after_writing_outputs(

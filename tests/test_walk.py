@@ -12,7 +12,8 @@ import pytest
 from mcgwalk import curve_graph, curves, walk
 from mcgwalk.curve_graph import FiniteElementSet
 from mcgwalk.curves import MappingClassWord, twist_word
-from mcgwalk.engine.system import TwistSystem, get_system
+from mcgwalk.engine.system import get_system
+from mcgwalk.engine.triangulation import FlipProgram
 from mcgwalk.errors import BudgetExceededError
 from mcgwalk.surface import (
     GeneratorSet,
@@ -173,14 +174,14 @@ def test_budget_guard_is_the_same_on_a_warm_cache(budget):
 
 
 def test_one_deeper_level_costs_one_level_of_work(monkeypatch):
-    calls = [0]
-    apply_word = TwistSystem.apply_word
+    calls = [0]  # vectors replayed through the battery entry
+    apply_all = FlipProgram.apply_all
 
-    def counting(self, letters, vec):
-        calls[0] += 1
-        return apply_word(self, letters, vec)
+    def counting(self, vecs):
+        calls[0] += len(vecs)
+        return apply_all(self, vecs)
 
-    monkeypatch.setattr(TwistSystem, "apply_word", counting)
+    monkeypatch.setattr(FlipProgram, "apply_all", counting)
     mu = walk.make_step_distribution(_sub_generators(2))
     m4 = _cold_convolution(mu, 4)
     calls[0] = 0
