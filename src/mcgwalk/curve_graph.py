@@ -15,7 +15,7 @@ there is no approximate fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import curves
@@ -91,13 +91,6 @@ class FiniteElementSet:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, w: MappingClassWord) -> bool:
-        return curves.canonical_key(w) in self._key_set
-
-    @cached_property
-    def _key_set(self) -> frozenset:
-        return frozenset(self.keys)
 
 
 def _signed_generator_words(gs: GeneratorSet) -> list[tuple[tuple[int, int], ...]]:

@@ -1,22 +1,27 @@
 """Derivation of the generator flip programs on the punctured sphere.
 
+Every program here is made one way, as a mapping class is in M. Bell's
+flipper: flips on the necklace triangulation followed by one isometry,
+the orientation preserving isomorphism back onto the necklace
+triangulation that induces a prescribed puncture map
+(``_program_from_path``).
+
 The oracle: the half twist exchanging punctures 1 and 2 flips the four
-edges ``chain_flips(n, 2)`` lists (the flips a breadth first search near
-the necklace arc E_1 finds), is closed by the isomorphism swapping
-punctures 1 and 2, and is validated against hand-computed curve images.
-All other half twists are its conjugates by the rotation program, which
-re-fans the two necklace disks and relabels.  These programs are long
-(16 to 40 flips at genus 2, up to 328 at genus 5), so they only serve
-as the reference.
+edges ``chain_flips(n, 2)`` lists, is closed by the swap of punctures 1
+and 2, and is validated against hand-computed curve images.  All other
+half twists are its conjugates by the rotation program, which re-fans
+the two necklace disks and is closed by the rotation of the punctures.
+These conjugates are long (16 to 40 flips at genus 2, up to 328 at
+genus 5), so they only serve as the reference.
 
 The programs the engine runs flip the edges that ``chain_flips`` lists,
 2 to 4 per generator and 4g - 2 for the last one, at every genus.
-``chain_programs`` replays each list on the necklace triangulation,
-closes the path by matching arcs, and checks the result against the
-oracle on the whole edge battery; equal battery images mean the same
-mapping class downstairs.  The lists follow the output of
-``flip_search``, a bidirectional search in the flip graph modulo edge
-labels; nothing at run time searches, and no list is trusted unchecked.
+``chain_programs`` closes each list by its generator's puncture swap and
+checks the result against the oracle on the whole edge battery; equal
+battery images mean the same mapping class downstairs.  The check is
+what makes the closure sound, since a swap closes flips of sigma_k^-1
+as readily as those of sigma_k.  Nothing at build time searches, and no
+list is trusted unchecked.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from typing import Optional, Sequence
 
 from .triangulation import (
     FlipProgram,
-    SphereTriangulation,
     inner_edge,
     necklace_edge,
     necklace_triangulation,
@@ -36,22 +40,27 @@ from .triangulation import (
 
 
 def _program_from_path(
-    n: int,
-    steps: Sequence[tuple[int, int, int, int, int]],
-    end: SphereTriangulation,
-    vertex_map: list[int],
+    n: int, edges: Sequence[int], vertex_map: Sequence[int]
 ) -> Optional[FlipProgram]:
-    """Close a flip path into a program via an isomorphism back to the
-    necklace triangulation.
-
-    ``vertex_map`` prescribes where each puncture of the end state must
-    go in the necklace triangulation.  Returns None when no orientation
-    preserving isomorphism exists.
+    """The program flipping ``edges`` on the necklace triangulation, closed
+    by the orientation preserving isomorphism back onto it that sends
+    each puncture u of the end state to ``vertex_map[u]``; None when
+    there is no such isomorphism.
     """
-    for m in end.isomorphisms_to(necklace_triangulation(n), vertex_map):
-        perm = (m[2 * e] >> 1 for e in range(end.n_edges))
-        return FlipProgram(end.n_edges, chain.from_iterable(steps), perm)
-    return None
+    end = necklace_triangulation(n)
+    steps = [end.flip(e) for e in edges]
+    m = end.isomorphism_to(necklace_triangulation(n), vertex_map)
+    if m is None:
+        return None
+    perm = (m[2 * e] >> 1 for e in range(end.n_edges))
+    return FlipProgram(end.n_edges, chain.from_iterable(steps), perm)
+
+
+def _swap(n: int, k: int) -> list[int]:
+    """The puncture map of sigma_k: punctures k - 1 and k exchanged."""
+    vertex_map = list(range(n))
+    vertex_map[k - 1], vertex_map[k] = k, k - 1
+    return vertex_map
 
 
 def rotation_program(n: int) -> FlipProgram:
@@ -62,14 +71,9 @@ def rotation_program(n: int) -> FlipProgram:
     i -> i - 1 (mod n), which carries the re-fanned triangulation back
     onto the reference one.
     """
-    tri = necklace_triangulation(n)
-    steps = []
-    for j in range(1, n - 2):
-        steps.append(tri.flip(inner_edge(j, n)))
-    for j in range(1, n - 2):
-        steps.append(tri.flip(outer_edge(j, n)))
-    vertex_map = [(v - 1) % n for v in range(n)]
-    prog = _program_from_path(n, steps, tri, vertex_map)
+    fan = range(1, n - 2)
+    edges = [inner_edge(j, n) for j in fan] + [outer_edge(j, n) for j in fan]
+    prog = _program_from_path(n, edges, [(v - 1) % n for v in range(n)])
     if prog is None:
         raise RuntimeError("rotation closure failed")
     return prog
@@ -139,11 +143,7 @@ def oracle_programs(n: int) -> list[FlipProgram]:
     isomorphism swapping punctures 1 and 2; RuntimeError unless it maps
     the curves around {0,1} and {2,3} to the hand-computed images.
     """
-    tri = necklace_triangulation(n)
-    steps = [tri.flip(e) for e in chain_flips(n, 2)]
-    swap = list(range(n))
-    swap[1], swap[2] = 2, 1
-    sigma1 = _program_from_path(n, steps, tri, swap)
+    sigma1 = _program_from_path(n, chain_flips(n, 2), _swap(n, 2))
     if sigma1 is None or _candidate_is_half_twist(n, sigma1) is None:
         raise RuntimeError("half twist closure failed")
     rho = rotation_program(n)
@@ -166,10 +166,10 @@ def chain_flips(n: int, k: int) -> tuple[int, ...]:
     O_k, E_k (when k <= n - 3), 2 to 4 flips.  sigma_{n-1}, the half
     twist about the arc E_{n-2} at the fan apex, flips the outer fan
     O_{n-3} .. O_1, the arc E_{n-1} and the inner fan D_1 .. D_{n-4},
-    2n - 6 flips.  At genus 2 and 3 these are exactly what
-    ``flip_search`` returns (max_flips 8; 10 for the genus-3 sigma_7,
-    about 8 s); above, the same patterns continue.  ``chain_programs``
-    checks every one against its oracle whenever a system is built.
+    2n - 6 flips.  At genus 2 and 3 these are the lists that the
+    bidirectional flip-graph search kept in the engine tests returns;
+    above, the same patterns continue.  ``chain_programs`` checks every
+    one against its oracle whenever a system is built.
     """
     E = lambda i: necklace_edge(i, n)
     D = lambda j: inner_edge(j, n)
@@ -188,30 +188,6 @@ def chain_flips(n: int, k: int) -> tuple[int, ...]:
     return edges
 
 
-Columns = tuple[tuple[int, ...], ...]
-
-
-def _columns(vectors: Sequence[Sequence[int]]) -> Columns:
-    """Column f of the vectors: the intersections of arc f with each curve."""
-    return tuple(zip(*vectors))
-
-
-def _flip_columns(cols: Columns, step: tuple[int, int, int, int, int]) -> Columns:
-    """The columns after the flip ``step``; only column e changes."""
-    (e, a, b, c, d) = step
-    new = tuple(
-        max(xa + xc, xb + xd) - xe
-        for (xe, xa, xb, xc, xd) in zip(cols[e], cols[a], cols[b], cols[c], cols[d])
-    )
-    return cols[:e] + (new,) + cols[e + 1 :]
-
-
-def _edge_cycles(tri: SphereTriangulation) -> set[tuple[int, int, int]]:
-    """Every triangle's edges in counterclockwise order, in all rotations."""
-    nxt = tri.nxt
-    return {(d >> 1, nxt[d] >> 1, nxt[nxt[d]] >> 1) for d in range(len(nxt))}
-
-
 @lru_cache(maxsize=None)
 def edge_battery(n: int) -> tuple[tuple[int, ...], ...]:
     """The pair curves of the necklace triangulation's edges."""
@@ -219,105 +195,21 @@ def edge_battery(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(base.pair_curve(e) for e in range(base.n_edges))
 
 
-def close_flip_path(
-    n: int, edges: Sequence[int], images: Sequence[Sequence[int]]
-) -> Optional[FlipProgram]:
-    """The program flipping ``edges`` on the necklace triangulation, closed
-    by the relabelling that matches arc columns, or None.
-
-    ``images`` are a mapping class's images of the edge battery.  The
-    arc of the end state whose column over the battery equals column e
-    of ``images`` is the preimage of edge e, so it gets label e, and the
-    program maps the edge battery to ``images`` exactly.  None when an
-    edge is not flippable, when the columns do not match one to one, or
-    when the relabelling is not an isomorphism of triangulations.
-    """
-    tri = necklace_triangulation(n)
-    size = tri.n_edges
-    steps: list[int] = []
-    for e in edges:
-        if not 0 <= e < size or not tri.is_flippable(e):
-            return None
-        steps.extend(tri.flip(e))
-    path = FlipProgram(size, steps, range(size))
-    label = {col: e for (e, col) in enumerate(_columns(images))}
-    perm = tuple(label.get(col, -1) for col in _columns([path.apply(v) for v in edge_battery(n)]))
-    if len(label) != size or sorted(perm) != list(range(size)):
-        return None
-    moved = {tuple(perm[x] for x in cyc) for cyc in _edge_cycles(tri)}
-    if moved != _edge_cycles(necklace_triangulation(n)):
-        return None
-    return FlipProgram(size, path.steps, perm)
-
-
 def chain_programs(n: int) -> list[FlipProgram]:
-    """The programs of sigma_1 .. sigma_{n-1} flipping ``chain_flips``,
-    each closed against its oracle program's images of the edge battery,
-    so equal to the oracle there; RuntimeError if the flips do not close."""
+    """The programs of sigma_1 .. sigma_{n-1}: each flips ``chain_flips``
+    and is closed by the puncture swap of sigma_k, like the oracle.
+
+    The swap alone does not fix the class: sigma_k^-1 has the same one,
+    and so, at genus 2 and 3, do the flips of its short program.  So a
+    program is kept only if it equals its oracle on the whole edge
+    battery; RuntimeError otherwise, or if the flips do not close.
+    """
+    battery = edge_battery(n)
     programs = []
     for (k, oracle) in enumerate(oracle_programs(n), start=1):
         edges = chain_flips(n, k)
-        prog = close_flip_path(n, edges, [oracle.apply(v) for v in edge_battery(n)])
-        if prog is None:
+        prog = _program_from_path(n, edges, _swap(n, k))
+        if prog is None or prog.apply_all(battery) != oracle.apply_all(battery):
             raise RuntimeError(f"flips {edges} do not realise sigma_{k}")
         programs.append(prog)
     return programs
-
-
-def flip_search(oracle: FlipProgram, max_flips: int) -> Optional[tuple[int, ...]]:
-    """Flipped edge ids realising the mapping class of ``oracle`` in at
-    most ``max_flips`` flips, or None.
-
-    Bidirectional breadth-first search in the flip graph modulo edge
-    labels.  Forward states start at the necklace triangulation with the
-    edge battery's columns, backward states with the columns of the
-    oracle's battery images (the arcs of the preimage of the necklace
-    triangulation), and each state is keyed by the set of its columns.
-    Where the two sides meet, the backward flips are replayed in reverse
-    through the relabelling that matches columns; the joined paths are
-    tried shortest first and kept only if they close into a program
-    equal to the oracle on the edge battery.  Deterministic; for
-    maintainers and tests, never run by ``get_system``.
-    """
-    n = (oracle.size + 6) // 3
-    battery = edge_battery(n)
-    images = [oracle.apply(v) for v in battery]
-    base = necklace_triangulation(n)
-    seen: list[dict] = []
-    frontiers: list[list] = []
-    for vectors in (battery, images):
-        cols = _columns(vectors)
-        seen.append({frozenset(cols): (base, cols, ())})
-        frontiers.append([(base, cols, ())])
-
-    def joined(fwd, bwd) -> tuple[int, ...]:
-        slot = {col: f for (f, col) in enumerate(fwd[1])}
-        return fwd[2] + tuple(slot[bwd[1][g]] for g in reversed(bwd[2]))
-
-    if close_flip_path(n, (), images) is not None:
-        return ()
-    for _depth in range(max_flips):
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        found = []
-        nxt = []
-        for (tri, cols, path) in frontiers[side]:
-            for e in range(base.n_edges):
-                if not tri.is_flippable(e):
-                    continue
-                t2 = tri.copy()
-                cols2 = _flip_columns(cols, t2.flip(e))
-                key = frozenset(cols2)
-                if key in seen[side]:
-                    continue
-                state = (t2, cols2, path + (e,))
-                seen[side][key] = state
-                nxt.append(state)
-                other = seen[1 - side].get(key)
-                if other is not None:
-                    pair = (state, other) if side == 0 else (other, state)
-                    found.append(joined(*pair))
-        for edges in sorted(found, key=len):
-            if close_flip_path(n, edges, images) is not None:
-                return edges
-        frontiers[side] = nxt
-    return None

@@ -14,16 +14,19 @@ the spanned arc, and a mapping class fixing every edge of an ideal
 triangulation is trivial); upstairs this leaves only the ambiguity of
 the deck involution, which the homology action (-I) resolves.
 
-Each generator runs a short flip program from ``build.chain_flips``
-(2 to 4 flips, 4g - 2 for sigma_{2g+1}), checked when the system is
-built against its oracle, the half twist sigma_2 or one of its rotation
-conjugates, on the whole edge battery.  The system keeps one
-table, ``programs``, of each letter's ``FlipProgram``; a word is a
-``FlipProgram`` too, and acts by one kernel replay of its cancelled
-steps: the letters' steps are concatenated, and ``cancel_flips``
-deletes every pair of steps that undo each other, which the
-concatenation leaves in numbers (a genus-2 separating twist
-(sigma_j sigma_{j+1})^6 keeps 14 or 26 of its 36 or 48 flips).
+Each generator runs a short flip program: the flips ``build.chain_flips``
+lists (2 to 4, 4g - 2 for sigma_{2g+1}), closed as every program of
+``build`` is, by an isomorphism of triangulations with a prescribed
+puncture map (here the swap of the generator's two punctures), and
+checked when the system is built against its oracle, the half twist
+sigma_2 or one of its rotation conjugates, on the whole edge battery.
+The system keeps one table, ``programs``, of each letter's
+``FlipProgram``; a word is a ``FlipProgram`` too, and acts by one
+kernel replay of its cancelled steps: the letters' steps are
+concatenated, and ``cancel_flips`` deletes every pair of steps that
+undo each other, which the concatenation leaves in numbers (a genus-2
+separating twist (sigma_j sigma_{j+1})^6 keeps 14 or 26 of its 36 or
+48 flips).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import kernel
 
@@ -86,25 +86,14 @@ class SphereTriangulation:
             nxt[c] = a
         return cls(n_punctures, nxt, start)
 
-    def copy(self) -> "SphereTriangulation":
-        return SphereTriangulation(self.n_punctures, list(self.nxt), list(self.start))
-
     # -- basic queries -------------------------------------------------
 
     @property
     def n_edges(self) -> int:
         return 3 * self.n_punctures - 6
 
-    def key(self) -> tuple:
-        return (tuple(self.nxt), tuple(self.start))
-
     def endpoints(self, e: int) -> tuple[int, int]:
         return (self.start[2 * e], self.start[2 * e + 1])
-
-    def is_flippable(self, e: int) -> bool:
-        """An edge is flippable iff its two sides lie in distinct triangles."""
-        d0, d1 = 2 * e, 2 * e + 1
-        return self.nxt[d0] != d1 and self.nxt[self.nxt[d0]] != d1
 
     def flip(self, e: int) -> tuple[int, int, int, int, int]:
         """Flip edge ``e`` in place; return the replay step (e, a, b, c, d)."""
@@ -170,16 +159,17 @@ class SphereTriangulation:
 
     # -- isomorphism ---------------------------------------------------
 
-    def isomorphisms_to(
+    def isomorphism_to(
         self, other: "SphereTriangulation", vertex_map: Sequence[int]
-    ) -> Iterator[list[int]]:
-        """Yield orientation-preserving isomorphisms inducing ``vertex_map``.
+    ) -> Optional[list[int]]:
+        """The orientation-preserving isomorphism inducing ``vertex_map``,
+        or None.
 
-        Each result maps directed sides of ``self`` to directed sides of
-        ``other``; ``vertex_map[u]`` prescribes the image of puncture u.
+        It maps directed sides of ``self`` to directed sides of ``other``;
+        ``vertex_map[u]`` prescribes the image of puncture u.  The image
+        of side 0 fixes the rest, so each candidate for it is extended in
+        turn and the first consistent extension is returned.
         """
-        if other.n_punctures != self.n_punctures:
-            return
         total = 2 * self.n_edges
         for seed in range(total):
             if other.start[seed] != vertex_map[self.start[0]]:
@@ -204,7 +194,8 @@ class SphereTriangulation:
                         ok = False
                         break
             if ok and -1 not in m and len(set(m)) == total:
-                yield m
+                return m
+        return None
 
 
 def necklace_edge(i: int, n: int) -> int:

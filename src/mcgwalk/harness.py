@@ -118,6 +118,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
                     raise ConfigError(f"{f.name} must be {symbol} {bound}, got {v}")
     if not cfg.lengths or any(b <= a for a, b in zip(cfg.lengths, cfg.lengths[1:])):
         raise ConfigError("length grid must be nonempty and strictly increasing")
+    if not cfg.k_values or len(set(cfg.k_values)) != len(cfg.k_values):
+        raise ConfigError("k_values must be nonempty and distinct")
     if cfg.experiment == "torelli_pa_fraction" and cfg.generators != "torelli":
         raise ConfigError("torelli_pa_fraction requires torelli generators")
     if cfg.generators == "torelli" and cfg.pair_budget <= 2 * cfg.genus - 2:

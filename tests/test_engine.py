@@ -12,8 +12,9 @@ from mcgwalk.engine import build, kernel, kernel_py
 from mcgwalk.engine.build import (
     _candidate_is_half_twist,
     _program_from_path,
+    _swap,
     chain_flips,
-    flip_search,
+    edge_battery,
     oracle_programs,
     rotation_program,
 )
@@ -38,6 +39,20 @@ def _random_admissible(tri, rng, scale=6):
             return vec
 
 
+def _copy(tri: SphereTriangulation) -> SphereTriangulation:
+    return SphereTriangulation(tri.n_punctures, list(tri.nxt), list(tri.start))
+
+
+def _key(tri: SphereTriangulation) -> tuple:
+    return (tuple(tri.nxt), tuple(tri.start))
+
+
+def _is_flippable(tri: SphereTriangulation, e: int) -> bool:
+    """An edge is flippable iff its two sides lie in distinct triangles."""
+    d0, d1 = 2 * e, 2 * e + 1
+    return tri.nxt[d0] != d1 and tri.nxt[tri.nxt[d0]] != d1
+
+
 def test_necklace_triangulation_shape():
     for n in (5, 6, 8, 10):
         tri = necklace_triangulation(n)
@@ -50,9 +65,9 @@ def test_double_flip_is_identity_on_coordinates():
     rng = random.Random(0)
     for _trial in range(25):
         e = rng.randrange(tri.n_edges)
-        if not tri.is_flippable(e):
+        if not _is_flippable(tri, e):
             continue
-        copy = tri.copy()
+        copy = _copy(tri)
         steps = [*copy.flip(e), *copy.flip(e)]
         prog = FlipProgram(tri.n_edges, steps, range(tri.n_edges))
         for _v in range(5):
@@ -109,40 +124,37 @@ def half_twist_search(n: int, max_flips: int = 6) -> tuple[FlipProgram, str]:
         necklace_edge(0, n), necklace_edge(1, n), necklace_edge(2, n),
         inner_edge(1, n), inner_edge(2, n), outer_edge(1, n), outer_edge(2, n),
     ]
-    vertex_map = list(range(n))
-    vertex_map[1], vertex_map[2] = 2, 1
-    start = base.copy()
+    vertex_map = _swap(n, 2)
     degrees = [0] * n
-    for u in start.start:
+    for u in base.start:
         degrees[u] += 1
     target = [degrees[vertex_map[u]] for u in range(n)]
-    frontier: list[tuple[SphereTriangulation, list, list[int]]] = [(start, [], degrees)]
-    seen = {start.key()}
+    frontier: list[tuple[SphereTriangulation, tuple[int, ...], list[int]]] = [(base, (), degrees)]
+    seen = {_key(base)}
     for _depth in range(max_flips):
         next_frontier = []
-        for (tri, steps, degrees) in frontier:
+        for (tri, path, degrees) in frontier:
             for e in local:
-                if not tri.is_flippable(e):
+                if not _is_flippable(tri, e):
                     continue
-                t2 = tri.copy()
-                step = t2.flip(e)
-                k = t2.key()
+                t2 = _copy(tri)
+                t2.flip(e)
+                k = _key(t2)
                 if k in seen:
                     continue
                 seen.add(k)
-                path = steps + [step]
                 deg2 = list(degrees)
                 for u in tri.endpoints(e):
                     deg2[u] -= 1
                 for u in t2.endpoints(e):
                     deg2[u] += 1
                 if deg2 == target:
-                    prog = _program_from_path(n, path, t2, vertex_map)
+                    prog = _program_from_path(n, path + (e,), vertex_map)
                     if prog is not None:
                         tag = _candidate_is_half_twist(n, prog)
                         if tag is not None:
                             return prog, tag
-                next_frontier.append((t2, path, deg2))
+                next_frontier.append((t2, path + (e,), deg2))
         frontier = next_frontier
     raise RuntimeError("half twist not found within the flip budget")
 
@@ -327,6 +339,107 @@ def test_programs_invert_exactly(genus):
         assert all(round_trip.apply(vec) == vec for vec in system.edge_battery)
 
 
+Columns = tuple[tuple[int, ...], ...]
+
+
+def _columns(vectors) -> Columns:
+    """Column f of the vectors: the intersections of arc f with each curve."""
+    return tuple(zip(*vectors))
+
+
+def _flip_columns(cols: Columns, step: tuple[int, int, int, int, int]) -> Columns:
+    """The columns after the flip ``step``; only column e changes."""
+    (e, a, b, c, d) = step
+    new = tuple(
+        max(xa + xc, xb + xd) - xe
+        for (xe, xa, xb, xc, xd) in zip(cols[e], cols[a], cols[b], cols[c], cols[d])
+    )
+    return cols[:e] + (new,) + cols[e + 1 :]
+
+
+def _puncture_map(prog: FlipProgram) -> list[int]:
+    """The puncture permutation of a program's class: its flips, replayed
+    on the necklace triangulation, end in a state whose edge f the
+    relabelling carries onto necklace edge perm[f], so each puncture
+    goes to the common endpoint of the images of its edges."""
+    n = (prog.size + 6) // 3
+    base = necklace_triangulation(n)
+    end = necklace_triangulation(n)
+    for e in prog.steps[::5]:
+        end.flip(e)
+    images = [set(range(n)) for _ in range(n)]
+    for f in range(prog.size):
+        for u in end.endpoints(f):
+            images[u] &= set(base.endpoints(prog.perm[f]))
+    assert all(len(image) == 1 for image in images)
+    return [image.pop() for image in images]
+
+
+def flip_search(oracle: FlipProgram, max_flips: int):
+    """Flipped edge ids realising the mapping class of ``oracle`` in at
+    most ``max_flips`` flips, or None.
+
+    Bidirectional breadth-first search in the flip graph modulo edge
+    labels.  Forward states start at the necklace triangulation with the
+    edge battery's columns, backward states with the columns of the
+    oracle's battery images (the arcs of the preimage of the necklace
+    triangulation), and each state is keyed by the set of its columns.
+    Where the two sides meet, the backward flips are replayed in reverse
+    through the relabelling that matches columns.  The joined paths are
+    tried shortest first, each closed as the build closes its programs:
+    by the isomorphism inducing the oracle's puncture map, kept only if
+    the result equals the oracle on the edge battery.  Deterministic.
+    """
+    n = (oracle.size + 6) // 3
+    battery = edge_battery(n)
+    images = oracle.apply_all(battery)
+    vertex_map = _puncture_map(oracle)
+
+    def closes(edges) -> bool:
+        prog = _program_from_path(n, edges, vertex_map)
+        return prog is not None and prog.apply_all(battery) == images
+
+    base = necklace_triangulation(n)
+    seen: list[dict] = []
+    frontiers: list[list] = []
+    for vectors in (battery, images):
+        cols = _columns(vectors)
+        seen.append({frozenset(cols): (base, cols, ())})
+        frontiers.append([(base, cols, ())])
+
+    def joined(fwd, bwd) -> tuple[int, ...]:
+        slot = {col: f for (f, col) in enumerate(fwd[1])}
+        return fwd[2] + tuple(slot[bwd[1][g]] for g in reversed(bwd[2]))
+
+    if closes(()):
+        return ()
+    for _depth in range(max_flips):
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        found = []
+        nxt = []
+        for (tri, cols, path) in frontiers[side]:
+            for e in range(base.n_edges):
+                if not _is_flippable(tri, e):
+                    continue
+                t2 = _copy(tri)
+                cols2 = _flip_columns(cols, t2.flip(e))
+                key = frozenset(cols2)
+                if key in seen[side]:
+                    continue
+                state = (t2, cols2, path + (e,))
+                seen[side][key] = state
+                nxt.append(state)
+                other = seen[1 - side].get(key)
+                if other is not None:
+                    pair = (state, other) if side == 0 else (other, state)
+                    found.append(joined(*pair))
+        for edges in sorted(found, key=len):
+            if closes(edges):
+                return edges
+        frontiers[side] = nxt
+    return None
+
+
 def test_search_reproduces_the_genus_2_flips():
     oracle = oracle_programs(6)
     assert tuple(flip_search(p, 8) for p in oracle) == _table(6)
@@ -348,21 +461,24 @@ def test_corrupted_flips_fail_the_build(monkeypatch, k):
         get_system.__wrapped__(2)
 
 
-def test_close_flip_path_rejects_a_wrong_class():
-    # sigma_1's flips closed against sigma_2's battery images match no arcs
-    oracle = oracle_programs(6)
-    images = [oracle[1].apply(v) for v in get_system(2).edge_battery]
-    assert build.close_flip_path(6, chain_flips(6, 1), images) is None
-    assert build.close_flip_path(6, chain_flips(6, 2), images) is not None
-
-
-def test_close_flip_path_rejects_a_relabelling_that_is_no_isomorphism():
-    # swapping the coordinates of E_0 and D_1 matches columns one to one,
-    # but no mapping class relabels the necklace triangulation that way
-    swap = list(range(12))
-    swap[0], swap[6] = 6, 0
-    images = [tuple(v[swap[e]] for e in range(12)) for v in get_system(2).edge_battery]
-    assert build.close_flip_path(6, (), images) is None
+@pytest.mark.parametrize("genus", [2, 3])
+def test_the_battery_check_rejects_the_inverse_flips(monkeypatch, genus):
+    # the flips of sigma_k^-1 also close under sigma_k's puncture swap,
+    # to sigma_k^-1, so only the battery comparison can reject them
+    system = get_system(genus)
+    (n, battery) = (system.n, system.edge_battery)
+    for k in range(1, n):
+        if k == 2:  # the oracles are built from sigma_2's flips
+            continue
+        inverse = system.program(k, -1)
+        edges = tuple(inverse.steps[::5])
+        closed = _program_from_path(n, edges, _swap(n, k))
+        assert closed is not None and closed.apply_all(battery) == inverse.apply_all(battery)
+        monkeypatch.setattr(
+            build, "chain_flips", lambda m, j, k=k, e=edges: e if j == k else chain_flips(m, j)
+        )
+        with pytest.raises(RuntimeError):
+            get_system.__wrapped__(genus)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])

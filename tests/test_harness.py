@@ -54,6 +54,8 @@ def test_validate_config_rejects_bad_inputs():
         _cfg(seed=2**64),
         _cfg(experiment="torelli_pa_fraction"),
         _cfg(k_values=(0,)),
+        _cfg(k_values=()),
+        _cfg(k_values=(3, 3)),
     ]
     for cfg in bad:
         with pytest.raises(ConfigError):
@@ -224,6 +226,17 @@ def test_cli_exit_code_for_out_of_range_fields(
     code = main([experiment, "--config", path, "--out", str(tmp_path)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["transience_rk", "exact_lemma"])
+@pytest.mark.parametrize("k_values", ["", "3,3"])
+def test_cli_exit_code_for_empty_or_repeated_k_values(
+    tmp_path: Path, capsys, experiment, k_values
+):
+    sections = {"walk": {"lengths": "3,5", "samples": "2"}, "sets": {"k_values": k_values}}
+    path = _write_config(tmp_path / "run.cfg", sections)
+    assert main([experiment, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "config error: k_values must be nonempty and distinct" in capsys.readouterr().err
 
 
 def test_cli_exit_code_for_budget_errors(tmp_path: Path, capsys):
