@@ -156,19 +156,6 @@ def in_ball(w: MappingClassWord, ball: dict, matrices: frozenset) -> bool:
     return w.homology_matrix.entries in matrices and curves.canonical_key(w) in ball
 
 
-def ball_membership(
-    w: MappingClassWord,
-    k: int,
-    gs: Optional[GeneratorSet] = None,
-    budget: int = DEFAULT_BALL_BUDGET,
-) -> bool:
-    """True iff w equals some product of at most k signed generators."""
-    if gs is None:
-        gs = humphries_generators(Surface(w.genus, 0))
-    ball = enumerate_ball(gs, k, budget=budget)
-    return curves.canonical_key(w) in ball
-
-
 def k_dense_subset(
     R: FiniteElementSet,
     k: int,

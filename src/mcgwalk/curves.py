@@ -22,7 +22,7 @@ the homology matrix (-identity for the involution) settles which.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -97,7 +97,11 @@ def twist_word(genus: int, index: int, power: int = 1) -> MappingClassWord:
 
 @dataclass(frozen=True)
 class CurveCoordinates:
-    """An isotopy class of essential curve/multicurve in canonical form."""
+    """An isotopy class of essential curve/multicurve in canonical form.
+
+    The constructor rejects an inadmissible vector; ``twist_action``
+    builds images without that check, since flips preserve admissibility.
+    """
 
     genus: int
     vector: tuple[int, ...]
@@ -179,7 +183,10 @@ def twist_action(w: MappingClassWord, c: CurveCoordinates) -> CurveCoordinates:
             MappingClassWord.make(w.genus, tuple(w.letters) + tuple(letters)).letters,
             k,
         )
-    return replace(c, vector=vector, transport=transport)
+    # flips preserve admissibility, so the image skips the constructor's check
+    image = object.__new__(CurveCoordinates)
+    image.__dict__.update(c.__dict__, vector=vector, transport=transport)
+    return image
 
 
 def _reference_intersection(

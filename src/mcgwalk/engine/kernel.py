@@ -12,4 +12,6 @@ except ImportError:  # pragma: no cover
     BACKEND = "python"
 
 replay = _impl.replay
-replay_all = _impl.replay_all
+prepare = _impl.prepare
+run = _impl.run
+run_all = _impl.run_all

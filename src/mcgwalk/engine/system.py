@@ -23,10 +23,13 @@ sigma_2 or one of its rotation conjugates, on the whole edge battery.
 The system keeps one table, ``programs``, of each letter's
 ``FlipProgram``; a word is a ``FlipProgram`` too, and acts by one
 kernel replay of its cancelled steps: the letters' steps are
-concatenated, and ``cancel_flips`` deletes every pair of steps that
-undo each other, which the concatenation leaves in numbers (a genus-2
-separating twist (sigma_j sigma_{j+1})^6 keeps 14 or 26 of its 36 or
-48 flips).
+concatenated, each relabelled by C-level gathers that its program
+derives once (``FlipProgram.gathers``), and ``cancel_flips`` deletes
+every pair of steps that undo each other, which the concatenation
+leaves in numbers (a genus-2 separating twist (sigma_j sigma_{j+1})^6
+keeps 14 or 26 of its 36 or 48 flips).  The word's program prepares
+its kernel form when it is compiled, and the last sixteen words stay
+cached with it.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ def cancel_flips(steps: Sequence[int]) -> list[int]:
     reads = [0] * size  # slot -> kept steps reading it (as a..d) after that writer
     n = len(steps) // 5
     # per kept step: last[e] and reads[e] just before it wrote its slot e
-    (last_before, reads_before) = ([0] * n, [0] * n)
+    last_before = [0] * n
+    reads_before = [0] * n
     it = iter(steps)
     for (j, (e, a, b, c, d)) in enumerate(zip(it, it, it, it, it)):
         i = last[e]
@@ -79,17 +83,23 @@ def cancel_flips(steps: Sequence[int]) -> list[int]:
             i >= 0
             and not reads[e]
             and last[a] < i and last[b] < i and last[c] < i and last[d] < i
-            and e not in (a, b, c, d)
+            and e != a and e != b and e != c and e != d
             and _sides(*steps[5 * i + 1 : 5 * i + 5]) == _sides(a, b, c, d)
         ):
             keep[5 * i : 5 * i + 5] = keep[5 * j : 5 * j + 5] = bytes(5)
-            (last[e], reads[e]) = (last_before[i], reads_before[i])
-            for x in (a, b, c, d):
-                reads[x] -= 1
+            last[e] = last_before[i]
+            reads[e] = reads_before[i]
+            reads[a] -= 1
+            reads[b] -= 1
+            reads[c] -= 1
+            reads[d] -= 1
             continue
-        for x in (a, b, c, d):
-            reads[x] += 1
-        (last_before[j], reads_before[j]) = (i, reads[e])
+        reads[a] += 1
+        reads[b] += 1
+        reads[c] += 1
+        reads[d] += 1
+        last_before[j] = i
+        reads_before[j] = reads[e]
         last[e] = j
         reads[e] = 0
     return list(compress(steps, keep))
@@ -144,15 +154,15 @@ class TwistSystem:
     def concatenate(self, letters: Sequence[Letter]) -> tuple[list[int], list[int]]:
         """The flat steps and relabelling of the letters' programs joined
         end to end, before cancellation: last letter first, each relabelled
-        through the running inverse relabelling; linear in flips plus
-        letters times edges.  The inverse relabelling of a letter is the
-        relabelling of the inverse letter's program."""
-        inv = list(range(self.n_edges))  # output index -> slot of the running state
+        through the running inverse relabelling by its program's C-level
+        ``gathers``; linear in flips plus letters times edges."""
+        inv = tuple(range(self.n_edges))  # output index -> slot of the running state
         steps: list[int] = []
         programs = self.programs
         for (k, s) in reversed(letters):
-            steps.extend([inv[x] for x in programs[k, s].steps])
-            inv = [inv[x] for x in programs[k, -s].perm]
+            (relabel_steps, relabel_inv) = programs[k, s].gathers
+            steps.extend(relabel_steps(inv))
+            inv = relabel_inv(inv)
         return (steps, invert_perm(inv))
 
     def _flatten(self, letters: tuple[Letter, ...]) -> FlipProgram:

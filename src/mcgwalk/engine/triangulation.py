@@ -23,6 +23,7 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from . import kernel
+from .kernel_py import gather
 
 
 class SphereTriangulation:
@@ -96,7 +97,13 @@ class SphereTriangulation:
         return (self.start[2 * e], self.start[2 * e + 1])
 
     def flip(self, e: int) -> tuple[int, int, int, int, int]:
-        """Flip edge ``e`` in place; return the replay step (e, a, b, c, d)."""
+        """Flip edge ``e`` in place; return the replay step (e, a, b, c, d).
+
+        ValueError unless 0 <= e < n_edges: a negative id would index
+        another edge's sides from the end.
+        """
+        if not 0 <= e < self.n_edges:
+            raise ValueError(f"edge {e} out of range")
         d0, d1 = 2 * e, 2 * e + 1
         nxt, start = self.nxt, self.start
         x = nxt[d0]
@@ -276,19 +283,24 @@ class FlipProgram:
 
     ``steps`` holds the flips flat, five entries (e, a, b, c, d) per
     flip, and ``perm`` sends slot f of the final state to output index
-    ``perm[f]``; both are ``array('l')``, the layout the replay kernel
-    reads, so ``apply`` and ``apply_all`` are one kernel call each.
+    ``perm[f]``; both are ``array('l')``, the layout
+    ``kernel.replay(vec, steps, perm)`` reads.  The program builds the
+    kernel's prepared form (``kernel.prepare``) once, so ``apply`` and
+    ``apply_all`` are one kernel call each with no per-call set-up.
+    ``gathers`` relabels through the program for ``TwistSystem.concatenate``.
     Programs compose and invert exactly; they represent mapping classes
     acting on normal coordinates.  Programs are shared, so callers must
     not modify them.
     """
 
-    __slots__ = ("size", "steps", "perm")
+    __slots__ = ("size", "steps", "perm", "_form", "_gathers")
 
     def __init__(self, size: int, steps: Iterable[int], perm: Iterable[int]):
         self.size = size
         self.steps = array("l", steps)
         self.perm = array("l", perm)
+        self._form = kernel.prepare(self.steps, self.perm)
+        self._gathers = None
 
     @staticmethod
     def identity(size: int) -> "FlipProgram":
@@ -304,10 +316,20 @@ class FlipProgram:
         return (self.size, self.steps, self.perm) == (other.size, other.steps, other.perm)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return kernel.replay(vec, self.steps, self.perm)
+        return kernel.run(self._form, vec)
 
     def apply_all(self, vecs: Iterable[Sequence[int]]) -> tuple:
-        return kernel.replay_all(vecs, self.steps, self.perm)
+        return kernel.run_all(self._form, vecs)
+
+    @property
+    def gathers(self) -> tuple:
+        """C-level gathers that relabel through the program, built on first
+        use: the first reads the flat steps, the second the inverse
+        relabelling (the relabelling of ``inverse()``), each from a
+        sequence indexed by slot."""
+        if self._gathers is None:
+            self._gathers = (gather(self.steps), gather(invert_perm(self.perm)))
+        return self._gathers
 
     def then(self, other: "FlipProgram") -> "FlipProgram":
         """The program applying ``self`` first, then ``other``."""

@@ -35,6 +35,26 @@ def test_chain_curve_coordinate_goldens():
     assert tuple(c.vector for c in curves.chain_curves(S2)) == CHAIN_GOLDENS
 
 
+def test_constructor_rejects_inadmissible_vectors():
+    good = CHAIN_GOLDENS[0]
+    assert curves.CurveCoordinates(2, good).vector == good
+    odd = (good[0] + 1,) + good[1:]  # odd weight sum around edge 0's triangles
+    negative = tuple(-x for x in good)
+    for vec in (odd, negative, good[:-1], good + (0,)):
+        with pytest.raises(ValueError):
+            curves.CurveCoordinates(2, vec)
+
+
+def test_twist_action_images_pass_the_constructor_check():
+    # twist_action skips the check, since flips preserve admissibility
+    rng = random.Random(3)
+    chain = curves.chain_curves(S2)
+    for _trial in range(40):
+        image = curves.twist_action(_random_word(rng, rng.randrange(1, 30)), rng.choice(chain))
+        rebuilt = curves.CurveCoordinates(2, image.vector, image.cover_type, image.transport)
+        assert rebuilt == image and hash(rebuilt) == hash(image)
+
+
 def test_word_free_reduction():
     w = MappingClassWord.make(2, ((1, 1), (2, 1), (2, -1), (1, -1), (3, 1)))
     assert w.letters == ((3, 1),)

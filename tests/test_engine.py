@@ -18,11 +18,12 @@ from mcgwalk.engine.build import (
     oracle_programs,
     rotation_program,
 )
-from mcgwalk.engine.system import TwistSystem, cancel_flips, get_system
+from mcgwalk.engine.system import TwistSystem, _sides, cancel_flips, get_system
 from mcgwalk.engine.triangulation import (
     FlipProgram,
     SphereTriangulation,
     inner_edge,
+    invert_perm,
     necklace_edge,
     necklace_triangulation,
     outer_edge,
@@ -58,6 +59,16 @@ def test_necklace_triangulation_shape():
         tri = necklace_triangulation(n)
         assert tri.n_edges == 3 * n - 6
         assert tri.n_punctures == n
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_flip_rejects_edge_ids_out_of_range(n):
+    tri = necklace_triangulation(n)
+    before = _key(tri)
+    for e in (-1, tri.n_edges):
+        with pytest.raises(ValueError):
+            tri.flip(e)
+    assert _key(tri) == before
 
 
 def test_double_flip_is_identity_on_coordinates():
@@ -286,12 +297,28 @@ def _replay_cases(genus, rng):
 @pytest.mark.parametrize("genus", [2, 3, 4])
 @pytest.mark.parametrize("impl", [kernel, kernel_py], ids=["active", "python"])
 def test_replay_all_equals_the_per_vector_replay(impl, genus):
+    # the prepared form against the reference replay: the battery, 70-bit
+    # vectors, the identity program and an empty batch
     (programs, vecs) = _replay_cases(genus, random.Random(genus))
     for prog in programs:
         expected = tuple(kernel_py.replay(v, prog.steps, prog.perm) for v in vecs)
-        assert impl.replay_all(vecs, prog.steps, prog.perm) == expected
+        form = impl.prepare(prog.steps, prog.perm)
+        assert impl.run_all(form, vecs) == expected
+        assert impl.run_all(form, iter(vecs)) == expected
+        assert tuple(impl.run(form, list(v)) for v in vecs) == expected
         assert prog.apply_all(list(vecs)) == expected
-    assert impl.replay_all((), programs[1].steps, programs[1].perm) == ()
+        assert tuple(prog.apply(v) for v in vecs) == expected
+        assert impl.run_all(form, ()) == ()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5])
+def test_prepared_form_on_small_sizes(size):
+    # itemgetter returns a bare item for one index and takes none for zero
+    vec = tuple(range(10, 10 + size))
+    perm = tuple(reversed(range(size)))
+    form = kernel_py.prepare((), perm)
+    assert kernel_py.run(form, vec) == kernel_py.replay(vec, (), perm)
+    assert kernel_py.run_all(form, [vec]) == (kernel_py.replay(vec, (), perm),)
 
 
 def test_flip_program_identity_roundtrip():
@@ -515,6 +542,27 @@ def test_compile_word_equals_the_then_fold(genus):
         assert concat == ref
 
 
+def _concatenate_by_comprehensions(system, letters):
+    """``TwistSystem.concatenate`` as two list comprehensions per letter."""
+    inv = list(range(system.n_edges))
+    steps = []
+    for (k, s) in reversed(letters):
+        steps.extend([inv[x] for x in system.programs[k, s].steps])
+        inv = [inv[x] for x in system.programs[k, -s].perm]
+    return (steps, invert_perm(inv))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_gathered_concatenation_equals_the_comprehensions(genus):
+    system = get_system(genus)
+    rng = random.Random(40 + genus)
+    words = [(), ((1, 1),), ((2 * genus + 1, -1),)]
+    words += [_random_word(rng, genus, rng.randrange(1, 400)) for _ in range(30)]
+    for word in words:
+        (steps, perm) = system.concatenate(word)
+        assert (list(steps), list(perm)) == _concatenate_by_comprehensions(system, word)
+
+
 def test_compile_word_is_cached_per_letters():
     system = get_system(2)
     word = ((1, 1), (3, -1), (5, 1))
@@ -557,6 +605,53 @@ def _step_lists(draw):
 @settings(max_examples=300, deadline=None)
 def test_cancelled_steps_replay_as_the_steps(steps, vec, perm):
     assert kernel_py.replay(vec, cancel_flips(steps), perm) == kernel_py.replay(vec, steps, perm)
+
+
+def _cancel_flips_before(steps):
+    """The reference pass for ``cancel_flips``: the same rule, written with
+    packed updates, loops over the sides and a membership test."""
+    keep = bytearray(b"\1") * len(steps)
+    size = max(steps, default=-1) + 1
+    last = [-1] * size
+    reads = [0] * size
+    n = len(steps) // 5
+    (last_before, reads_before) = ([0] * n, [0] * n)
+    it = iter(steps)
+    for (j, (e, a, b, c, d)) in enumerate(zip(it, it, it, it, it)):
+        i = last[e]
+        if (
+            i >= 0
+            and not reads[e]
+            and last[a] < i and last[b] < i and last[c] < i and last[d] < i
+            and e not in (a, b, c, d)
+            and _sides(*steps[5 * i + 1 : 5 * i + 5]) == _sides(a, b, c, d)
+        ):
+            keep[5 * i : 5 * i + 5] = keep[5 * j : 5 * j + 5] = bytes(5)
+            (last[e], reads[e]) = (last_before[i], reads_before[i])
+            for x in (a, b, c, d):
+                reads[x] -= 1
+            continue
+        for x in (a, b, c, d):
+            reads[x] += 1
+        (last_before[j], reads_before[j]) = (i, reads[e])
+        last[e] = j
+        reads[e] = 0
+    return [x for (x, k) in zip(steps, keep) if k]
+
+
+@given(_step_lists())
+@settings(max_examples=500, deadline=None)
+def test_cancel_flips_keeps_the_steps_it_kept_before(steps):
+    assert cancel_flips(steps) == _cancel_flips_before(steps)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_cancel_flips_keeps_the_steps_it_kept_before_on_words(genus):
+    system = get_system(genus)
+    rng = random.Random(60 + genus)
+    for _trial in range(20):
+        (steps, _perm) = system.concatenate(_random_word(rng, genus, rng.randrange(1, 400)))
+        assert cancel_flips(steps) == _cancel_flips_before(steps)
 
 
 def test_cancel_flips_on_small_cases():

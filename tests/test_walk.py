@@ -21,6 +21,7 @@ from mcgwalk.surface import (
     humphries_generators,
     torelli_generators,
 )
+from test_curve_graph import ball_membership
 
 S2 = Surface(2, 0)
 GS = humphries_generators(S2)
@@ -246,7 +247,7 @@ def test_separated_inequality_on_separated_sets():
         chosen: list[MappingClassWord] = []
         for rep in m3.representatives:
             if all(
-                not curve_graph.ball_membership(a.inverse() * rep, k - 1)
+                not ball_membership(a.inverse() * rep, k - 1)
                 for a in chosen
             ):
                 chosen.append(rep)
@@ -275,7 +276,7 @@ def test_even_k_radius_regression():
     lhs = Fraction(0)
     for rep, mass in reps:
         if all(
-            not curve_graph.ball_membership(a.inverse() * rep, 1) for a in chosen
+            not ball_membership(a.inverse() * rep, 1) for a in chosen
         ):
             chosen.append(rep)
             lhs += mass
