@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from . import curves, homology
+from . import curve_graph, curves, homology
 from .curves import CurveCoordinates, MappingClassWord
 from .engine.system import get_system
 from .errors import IntersectionUnsupportedError
@@ -175,12 +175,15 @@ def find_invariant_multicurve(
             for (c, h) in zip(cands, _candidate_classes(genus, search_bound))
             if _orbit_may_close(m, h, orbit_cap)
         )
+    program = None
     for cand in cands:
+        if program is None:
+            program = system.compile_word(w.letters, w.factors)
         vectors = {cand.vector: 0}
         vec = cand.vector
         closed = False
         for _step in range(orbit_cap):
-            vec = system.apply_word(w.letters, vec)
+            vec = program.apply(vec)
             if vec in vectors:
                 closed = vectors[vec] == 0
                 break
@@ -252,12 +255,13 @@ def growth_certificate(
         )
     system = get_system(w.genus)
     (letters, k) = c.transport
-    back = MappingClassWord(w.genus, letters).inverse().letters
+    program = system.compile_word(w.letters, w.factors)
+    back = system.compile_word(MappingClassWord(w.genus, letters).inverse().letters)
     seq = []
     vec = c.vector
     for _n in range(iterations):
-        vec = system.apply_word(w.letters, vec)
-        seq.append(system.chain_intersection(system.apply_word(back, vec), k))
+        vec = program.apply(vec)
+        seq.append(system.chain_intersection(back.apply(vec), k))
     ratios = tuple(
         Fraction(seq[i + 1], seq[i]) for i in range(len(seq) - 1) if seq[i] != 0
     )
@@ -304,10 +308,9 @@ def classify(w: MappingClassWord, budgets: Budgets = Budgets()) -> Verdict:
     multicurve = find_invariant_multicurve(w, budgets.search_bound)
     if multicurve is not None:
         return Reducible(multicurve)
-    basepoint = curves.chain_curves(Surface(w.genus, 0))[0]
     report = growth_certificate(
         w,
-        basepoint,
+        curve_graph.basepoint(w.genus),
         iterations=budgets.iterations,
         threshold=budgets.threshold,
         stabilization=budgets.stabilization,

@@ -54,8 +54,10 @@ def distance_bounds(a: CurveCoordinates, b: CurveCoordinates) -> DistanceBounds:
     return DistanceBounds(2, _log_upper(i), ("intersecting", LOG_BOUND_TAG))
 
 
+@lru_cache(maxsize=None)
 def basepoint(genus: int) -> CurveCoordinates:
-    """The curve-graph orbit basepoint x0 (the first chain curve)."""
+    """The curve-graph orbit basepoint x0 (the first chain curve), built
+    once per genus."""
     return curves.chain_curves(Surface(genus, 0))[0]
 
 

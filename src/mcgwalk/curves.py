@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from . import homology
 from .engine.system import TwistSystem, get_system
+from .engine.triangulation import FlipProgram
 from .errors import (
     IntersectionUnsupportedError,
     UnknownCurveError,
@@ -40,10 +41,19 @@ Letter = tuple[int, int]
 
 @dataclass(frozen=True)
 class MappingClassWord:
-    """A freely reduced word in the signed chain twists."""
+    """A freely reduced word in the signed chain twists.
+
+    ``factors`` is empty, or, for a word that ``factored`` built, the
+    compiled programs of words whose product is ``letters`` with no
+    letter cancelling between them (a walk location's step atoms); the
+    engine then compiles the word from them (``TwistSystem.compile_word``).
+    It is not a field: equality and hashing ignore it, and every other
+    construction leaves the class default.
+    """
 
     genus: int
     letters: tuple[Letter, ...]
+    factors: ClassVar[tuple[FlipProgram, ...]] = ()
 
     @staticmethod
     def make(genus: int, letters: Sequence[Letter]) -> "MappingClassWord":
@@ -59,6 +69,15 @@ class MappingClassWord:
             else:
                 reduced.append((k, sign))
         return MappingClassWord(genus, tuple(reduced))
+
+    @staticmethod
+    def factored(
+        genus: int, letters: tuple[Letter, ...], factors: tuple[FlipProgram, ...]
+    ) -> "MappingClassWord":
+        """The reduced word ``letters`` carrying ``factors`` (see the class)."""
+        w = MappingClassWord(genus, letters)
+        object.__setattr__(w, "factors", factors)
+        return w
 
     @property
     def length(self) -> int:
@@ -260,7 +279,7 @@ def alexander_identity_test(w: MappingClassWord) -> bool:
     involution acts as -identity).
     """
     system = get_system(w.genus)
-    if not system.fixes_battery(w.letters):
+    if not system.fixes_battery(w.letters, w.factors):
         return False
     return w.homology_matrix.is_identity()
 

@@ -27,16 +27,18 @@ concatenated, each relabelled by C-level gathers that its program
 derives once (``FlipProgram.gathers``), and ``cancel_flips`` deletes
 every pair of steps that undo each other, which the concatenation
 leaves in numbers (a genus-2 separating twist (sigma_j sigma_{j+1})^6
-keeps 14 or 26 of its 36 or 48 flips).  The word's program prepares
-its kernel form when it is compiled, and the last sixteen words stay
-cached with it.
+keeps 14 or 26 of its 36 or 48 flips).  A word given with its
+factors, already compiled words such as a walk's step atoms, joins
+their cancelled steps instead of its letters'.  The word's program
+prepares its kernel form when it is compiled, and the last sixteen
+words stay cached with it, keyed by their letters.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .build import chain_programs, edge_battery
 from .triangulation import FlipProgram, invert_perm, necklace_triangulation
@@ -62,20 +64,20 @@ def cancel_flips(steps: Sequence[int]) -> list[int]:
 
     A step (e, a, b, c, d) sets v[e] = max(v[a] + v[c], v[b] + v[d]) - v[e].
     A later step on the same slot e with the same sides {a, c} and {b, d}
-    restores v[e], provided no step between them writes e, a, b, c or d
-    or reads e, and e is none of a..d: both steps go.  The kept steps
-    are a subsequence of ``steps``, in order, and replay exactly as
-    ``steps`` do.  One pass, tracking per slot its last kept writer and
-    the reads of it since; a cancelled writer restores what it replaced.
+    (``_sides``) restores v[e], provided no step between them writes e,
+    a, b, c or d or reads e, and e is none of a..d: both steps go.  The
+    kept steps are a subsequence of ``steps``, in order, and replay
+    exactly as ``steps`` do.  One pass, tracking per slot its last kept
+    writer and the reads of it since; a cancelled writer restores what
+    it replaced, from the undo record it left.
     """
     keep = bytearray(b"\1") * len(steps)
+    gone = bytes(5)
     size = max(steps, default=-1) + 1
     last = [-1] * size  # slot -> its last kept writer, or -1
     reads = [0] * size  # slot -> kept steps reading it (as a..d) after that writer
-    n = len(steps) // 5
-    # per kept step: last[e] and reads[e] just before it wrote its slot e
-    last_before = [0] * n
-    reads_before = [0] * n
+    # per kept step: (last[e], reads[e]) just before it wrote its slot e
+    undo: list = [None] * (len(steps) // 5)
     it = iter(steps)
     for (j, (e, a, b, c, d)) in enumerate(zip(it, it, it, it, it)):
         i = last[e]
@@ -84,22 +86,27 @@ def cancel_flips(steps: Sequence[int]) -> list[int]:
             and not reads[e]
             and last[a] < i and last[b] < i and last[c] < i and last[d] < i
             and e != a and e != b and e != c and e != d
-            and _sides(*steps[5 * i + 1 : 5 * i + 5]) == _sides(a, b, c, d)
         ):
-            keep[5 * i : 5 * i + 5] = keep[5 * j : 5 * j + 5] = bytes(5)
-            last[e] = last_before[i]
-            reads[e] = reads_before[i]
-            reads[a] -= 1
-            reads[b] -= 1
-            reads[c] -= 1
-            reads[d] -= 1
-            continue
+            (p, q, r, s) = steps[5 * i + 1 : 5 * i + 5]
+            # {p, r}, {q, s} equal {a, c}, {b, d} as a pair of pairs
+            if (
+                (p == a and r == c or p == c and r == a)
+                and (q == b and s == d or q == d and s == b)
+                or (p == b and r == d or p == d and r == b)
+                and (q == a and s == c or q == c and s == a)
+            ):
+                keep[5 * i : 5 * i + 5] = keep[5 * j : 5 * j + 5] = gone
+                (last[e], reads[e]) = undo[i]
+                reads[a] -= 1
+                reads[b] -= 1
+                reads[c] -= 1
+                reads[d] -= 1
+                continue
         reads[a] += 1
         reads[b] += 1
         reads[c] += 1
         reads[d] += 1
-        last_before[j] = i
-        reads_before[j] = reads[e]
+        undo[j] = (i, reads[e])
         last[e] = j
         reads[e] = 0
     return list(compress(steps, keep))
@@ -123,6 +130,7 @@ class TwistSystem:
             self.programs[k, 1] = prog
             self.programs[k, -1] = prog.inverse()
         self._compiled = lru_cache(maxsize=_WORD_CACHE)(self._flatten)
+        self._factors: Sequence[FlipProgram] = ()  # of the compile_word call running
 
         # chain curve k lives over the necklace arc E_{k-1}, whose pair
         # curve has edge id k-1 as its coordinate slot for intersections
@@ -145,28 +153,57 @@ class TwistSystem:
         one replay of the word's flattened program."""
         return self._compiled(tuple(letters)).apply(vec)
 
-    def compile_word(self, letters: Sequence[Letter]) -> FlipProgram:
+    def compile_word(
+        self, letters: Sequence[Letter], factors: Sequence[FlipProgram] = ()
+    ) -> FlipProgram:
         """The whole word as one replayable program, its inverse flip pairs
-        cancelled, cached per system and shared between callers, which must
-        not modify it."""
-        return self._compiled(tuple(letters))
+        cancelled, cached per system by its letters and shared between
+        callers, which must not modify it.
+
+        ``factors``, when given, are the programs of words whose product,
+        in order, is ``letters`` with no letter cancelling between them,
+        each already compiled (the step atoms of a walk).  A program not
+        in the cache is then built by one join of theirs and one cancel
+        pass over it, not from the letters; nearly every inverse pair of
+        a long word lies inside an atom, so far fewer steps are joined.
+        That program replays exactly as the letters' one does; its steps
+        are the same for the Torelli atoms, but can differ where
+        cancellations inside a factor and across factors overlap.
+        """
+        if not factors:
+            return self._compiled(tuple(letters))
+        self._factors = factors
+        try:
+            return self._compiled(tuple(letters))
+        finally:
+            self._factors = ()
 
     def concatenate(self, letters: Sequence[Letter]) -> tuple[list[int], list[int]]:
         """The flat steps and relabelling of the letters' programs joined
-        end to end, before cancellation: last letter first, each relabelled
-        through the running inverse relabelling by its program's C-level
-        ``gathers``; linear in flips plus letters times edges."""
+        end to end, before cancellation (``join``)."""
+        programs = self.programs
+        return self.join(programs[k, s] for (k, s) in reversed(letters))
+
+    def join(self, programs: Iterable[FlipProgram]) -> tuple[list[int], list[int]]:
+        """The flat steps and relabelling of ``programs`` run one after
+        another, first to act first: each relabelled through the running
+        inverse relabelling by its C-level ``gathers``; linear in flips
+        plus programs times edges."""
         inv = tuple(range(self.n_edges))  # output index -> slot of the running state
         steps: list[int] = []
-        programs = self.programs
-        for (k, s) in reversed(letters):
-            (relabel_steps, relabel_inv) = programs[k, s].gathers
+        for prog in programs:
+            (relabel_steps, relabel_inv) = prog.gathers
             steps.extend(relabel_steps(inv))
             inv = relabel_inv(inv)
         return (steps, invert_perm(inv))
 
     def _flatten(self, letters: tuple[Letter, ...]) -> FlipProgram:
-        (steps, perm) = self.concatenate(letters)
+        """A cache miss of ``compile_word``: from the factors passed to
+        that call, else from the letters."""
+        if self._factors:
+            (steps, perm) = self.join(reversed(self._factors))
+        else:
+            (steps, perm) = self.concatenate(letters)
         return FlipProgram(self.n_edges, cancel_flips(steps), perm)
 
     # -- exact queries -------------------------------------------------
@@ -175,8 +212,15 @@ class TwistSystem:
         """i(curve, c_index) upstairs: the coordinate over the necklace arc."""
         return vec[index - 1]
 
-    def fixes_battery(self, letters: Sequence[Letter]) -> bool:
-        """True iff the word acts trivially downstairs (full edge battery)."""
+    def fixes_battery(
+        self, letters: Sequence[Letter], factors: Sequence[FlipProgram] = ()
+    ) -> bool:
+        """True iff the word acts trivially downstairs (full edge battery).
+
+        The word is compiled first, from ``factors`` when given (see
+        ``compile_word``), so the replays below find it in the cache."""
+        if factors:
+            self.compile_word(letters, factors)
         return all(self.apply_word(letters, v) == v for v in self.edge_battery)
 
 

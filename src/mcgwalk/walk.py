@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 from operator import mul
 from typing import Optional
@@ -28,6 +28,7 @@ from typing import Optional
 from . import curve_graph, curves
 from .curve_graph import FiniteElementSet
 from .curves import MappingClassWord
+from .engine.system import get_system
 from .errors import BudgetExceededError
 from .surface import GeneratorSet, Surface, humphries_generators
 
@@ -63,6 +64,35 @@ class StepDistribution:
         masses times D, strictly increasing up to D."""
         denominator = lcm(*(m.denominator for m in self.masses))
         return (denominator, tuple(accumulate(int(m * denominator) for m in self.masses)))
+
+    @cached_property
+    def _reductions(self) -> tuple[tuple[tuple[curves.Letter, curves.Letter], ...], ...]:
+        """Per atom, each of its letters with the letter's inverse."""
+        return tuple(tuple(((k, s), (k, -s)) for (k, s) in w.letters) for w in self.support)
+
+    @cached_property
+    def _atoms(self) -> Optional[tuple[tuple, ...]]:
+        """What ``sample_path`` needs to keep a location as a product of
+        atoms, or None when it keeps letters only: when every atom has at
+        most one letter, or some atom is empty or not freely reduced.
+
+        Per atom: the index of its inverse atom (-1 if none), the inverse
+        of its first letter, its last letter, and its compiled program;
+        the programs are built once, here, where no cache evicts them.
+        """
+        words = self.support
+        if max(w.length for w in words) <= 1 or any(
+            not w.letters or MappingClassWord.make(w.genus, w.letters) != w for w in words
+        ):
+            return None
+        index = {w: i for (i, w) in enumerate(words)}
+        system = get_system(self.genus)
+        return (
+            tuple(index.get(w.inverse(), -1) for w in words),
+            tuple((w.letters[0][0], -w.letters[0][1]) for w in words),
+            tuple(w.letters[-1] for w in words),
+            tuple(system.compile_word(w.letters) for w in words),
+        )
 
 
 def make_step_distribution(gs: GeneratorSet) -> StepDistribution:
@@ -110,26 +140,58 @@ def sample_path(mu: StepDistribution, n: int, seed) -> WalkSample:
 
     Steps are drawn by exact integer inversion sampling: a uniform
     integer below the common mass denominator selects the atom, so the
-    sampled law matches mu exactly, not merely to float precision.
-    The step words are reduced, so w_n is kept reduced on one letter
-    stack: each step letter cancels the top letter or is pushed.  Only
-    w_n is built; ``WalkSample.locations`` builds the prefixes on request.
+    sampled law matches mu exactly, not merely to float precision.  The
+    integer is drawn by the rejection loop of ``Random.randrange``,
+    inlined, so the stream is the same.  Only w_n is built, freely
+    reduced; ``WalkSample.locations`` builds the prefixes on request.
+
+    When the atoms are single letters, w_n is reduced on one letter
+    stack.  When some are longer (the Torelli atoms), it is reduced on a
+    stack of atoms, an atom cancelling its inverse on top, and w_n
+    carries the atoms' programs as its ``factors``, so that the engine
+    compiles it from them; if a letter cancels between two kept atoms,
+    w_n is reduced from their letters and carries none.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    rng = random.Random(str(seed))
+    getrandbits = random.Random(str(seed)).getrandbits
     (denominator, cutoffs) = mu._cutoffs
+    bits = denominator.bit_length()
     steps = []
-    stack: list[curves.Letter] = []
     for _k in range(n):
-        index = bisect_right(cutoffs, rng.randrange(denominator))
-        steps.append(index)
-        for (k, sign) in mu.support[index].letters:
-            if stack and stack[-1] == (k, -sign):
-                stack.pop()
-            else:
-                stack.append((k, sign))
-    return WalkSample(mu, str(seed), tuple(steps), MappingClassWord(mu.genus, tuple(stack)))
+        r = getrandbits(bits)
+        while r >= denominator:
+            r = getrandbits(bits)
+        steps.append(bisect_right(cutoffs, r))
+    atoms = mu._atoms
+    if atoms is None:
+        stack: list = []
+        reductions = mu._reductions
+        for index in steps:
+            for (letter, inverse) in reductions[index]:
+                if stack and stack[-1] == inverse:
+                    stack.pop()
+                else:
+                    stack.append(letter)
+        final = MappingClassWord(mu.genus, tuple(stack))
+    else:
+        final = _product_of_atoms(mu, atoms, steps)
+    return WalkSample(mu, str(seed), tuple(steps), final)
+
+
+def _product_of_atoms(mu: StepDistribution, atoms: tuple, steps: list[int]) -> MappingClassWord:
+    """The freely reduced product of the step atoms, reduced atom-wise."""
+    (inverse, heads, tails, programs) = atoms
+    stack: list[int] = []
+    for index in steps:
+        if stack and stack[-1] == inverse[index]:
+            stack.pop()
+        else:
+            stack.append(index)
+    letters = tuple(chain.from_iterable(mu.support[i].letters for i in stack))
+    if any(tails[i] == heads[j] for (i, j) in zip(stack, stack[1:])):
+        return MappingClassWord.make(mu.genus, letters)
+    return MappingClassWord.factored(mu.genus, letters, tuple(map(programs.__getitem__, stack)))
 
 
 @dataclass(frozen=True)

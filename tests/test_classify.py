@@ -406,6 +406,47 @@ def test_classify_builds_no_generator_set(monkeypatch):
     assert isinstance(growth, PseudoAnosov) and growth.source == "growth"
 
 
+def test_factored_words_get_the_verdicts_of_their_letters():
+    # a mixed batch: Humphries and Torelli walks at genus 2 and 3; the
+    # Torelli locations carry their step atoms, their copies do not
+    batch = []
+    for genus in (2, 3):
+        s = Surface(genus, 0)
+        for gs in (surface.humphries_generators(s), torelli_generators(s, 2 * genus)):
+            mu = walk.make_step_distribution(gs)
+            for index in range(6):
+                batch.append(walk.sample_path(mu, 3 + 4 * index, walk.sample_seed(8, index)).final)
+    assert sum(bool(w.factors) for w in batch) >= 10
+    plain = [MappingClassWord(w.genus, w.letters) for w in batch]
+    verdicts = [run_classify(w) for w in batch]
+    assert verdicts == [run_classify(w) for w in plain]
+    assert {type(v) for v in verdicts} >= {PseudoAnosov, Reducible}
+
+
+def test_a_factored_word_is_compiled_once_from_its_factors(monkeypatch):
+    mu = walk.make_step_distribution(torelli_generators(S2, 4))
+    w = walk.sample_path(mu, 30, "compiled once").final
+    assert w.factors
+    (joins, concatenated) = ([], [])
+    (join, concatenate) = (TwistSystem.join, TwistSystem.concatenate)
+
+    def counting_join(self, programs):
+        programs = list(programs)
+        joins.append(programs)
+        return join(self, programs)
+
+    def counting_concatenate(self, letters):
+        concatenated.append(tuple(letters))
+        return concatenate(self, letters)
+
+    monkeypatch.setattr(TwistSystem, "join", counting_join)
+    monkeypatch.setattr(TwistSystem, "concatenate", counting_concatenate)
+    assert isinstance(run_classify(w), PseudoAnosov)
+    factors = list(reversed(w.factors))
+    assert [p for p in joins if p == factors] == [factors]
+    assert w.letters not in concatenated
+
+
 def test_torelli_periodic_screen_is_one_battery_pass(monkeypatch):
     mu = walk.make_step_distribution(torelli_generators(S2, 4))
     w = walk.sample_path(mu, 5, walk.sample_seed(3, 0)).location(5)
@@ -531,12 +572,18 @@ def test_multicurve_screen_makes_no_engine_call_without_root_of_unity_eigenvalue
             classify._candidate_classes(w.genus, bound)
     calls = []
     apply_word = TwistSystem.apply_word
+    compile_word = TwistSystem.compile_word
 
     def counting(self, letters, vec):
         calls.append(1)
         return apply_word(self, letters, vec)
 
+    def counting_compile(self, *args):
+        calls.append(2)
+        return compile_word(self, *args)
+
     monkeypatch.setattr(TwistSystem, "apply_word", counting)
+    monkeypatch.setattr(TwistSystem, "compile_word", counting_compile)
     for w in words:
         for bound in (1, 2):
             assert classify.find_invariant_multicurve(w, bound) is None

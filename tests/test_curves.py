@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcgwalk import curves, homology
+from mcgwalk import curves, homology, walk
 from mcgwalk.curves import MappingClassWord, twist_word
 from mcgwalk.errors import IntersectionUnsupportedError, UnsupportedSurfaceError
-from mcgwalk.surface import CurveId, Surface
+from mcgwalk.surface import CurveId, Surface, torelli_generators
 
 S2 = Surface(2, 0)
 
@@ -63,6 +63,18 @@ def test_word_free_reduction():
         MappingClassWord.make(2, ((9, 1),))
     with pytest.raises(UnsupportedSurfaceError):
         MappingClassWord.make(1, ((1, 1),))
+
+
+def test_word_equality_and_hashing_ignore_the_factors():
+    mu = walk.make_step_distribution(torelli_generators(S2, 4))
+    w = walk.sample_path(mu, 12, "factors").final
+    plain = MappingClassWord(2, w.letters)
+    assert w.factors and plain.factors == ()
+    assert w == plain and hash(w) == hash(plain) and len({w, plain}) == 1
+    assert repr(w) == repr(plain)
+    # words built otherwise carry none
+    assert (w * plain).factors == () and w.inverse().factors == ()
+    assert MappingClassWord.factored(2, w.letters, w.factors).factors == w.factors
 
 
 def test_chain_intersections_form_a_path():

@@ -708,3 +708,37 @@ def test_torelli_walk_word_runs_the_cancelled_flips():
     assert len(word) == 288
     assert len(system.concatenate(word)[0]) // 5 == 972
     assert system.compile_word(word).n_flips == 428
+
+
+def test_torelli_walk_word_runs_the_cancelled_flips_from_its_factors():
+    mu = make_step_distribution(torelli_generators(Surface(2, 0), 4))
+    w = sample_path(mu, 40, 1).final
+    system = TwistSystem(2)
+    joined = system.join(reversed(w.factors))
+    assert len(w.factors) == 24 and len(joined[0]) // 5 < 972
+    assert system.compile_word(w.letters, w.factors).n_flips == 428
+
+
+@pytest.mark.parametrize(("genus", "pair_budget"), [(2, 4), (3, 5), (3, 6), (4, 8)])
+def test_factor_built_programs_equal_the_letter_built_ones(genus, pair_budget, monkeypatch):
+    # a fresh system per setting, so that no program comes from the cache
+    mu = make_step_distribution(torelli_generators(Surface(genus, 0), pair_budget))
+    system = TwistSystem(genus)
+    words = [
+        sample_path(mu, n, f"{genus}/{pair_budget}/{n}/{i}").final
+        for n in range(1, 41)
+        for i in range(6)
+    ]
+    expected = {}
+    for w in words:
+        (steps, perm) = system.concatenate(w.letters)
+        expected[w] = FlipProgram(system.n_edges, cancel_flips(steps), perm)
+
+    def no_letters(*args):
+        raise AssertionError("a factored word compiled from its letters")
+
+    monkeypatch.setattr(system, "concatenate", no_letters)
+    for w in words:
+        if w.letters:  # the empty word has no factors
+            assert w.factors
+            assert system.compile_word(w.letters, w.factors) == expected[w]

@@ -12,7 +12,7 @@ import pytest
 from mcgwalk import curve_graph, curves, walk
 from mcgwalk.curve_graph import FiniteElementSet
 from mcgwalk.curves import MappingClassWord, twist_word
-from mcgwalk.engine.system import get_system
+from mcgwalk.engine.system import TwistSystem, get_system
 from mcgwalk.engine.triangulation import FlipProgram
 from mcgwalk.errors import BudgetExceededError
 from mcgwalk.surface import (
@@ -79,6 +79,63 @@ def test_sample_path_locations_are_reduced_prefix_products(genus):
             for n, step in enumerate(path.steps, start=1):
                 letters += mu.support[step].letters
                 assert path.location(n) == MappingClassWord.make(genus, letters)
+
+
+def test_step_draws_are_the_randrange_stream():
+    # D atoms of mass 1/D: the atom index is the uniform integer below D
+    w = MappingClassWord.make(2, ((1, 1),))
+    for d in range(1, 65):
+        mu = walk.StepDistribution((w,) * d, (Fraction(1, d),) * d)
+        for seed in range(200):
+            rng = random.Random(str(seed))
+            expected = tuple(rng.randrange(d) for _ in range(3))
+            assert walk.sample_path(mu, 3, seed).steps == expected
+
+
+def _product_of_steps(mu, steps):
+    return MappingClassWord.make(mu.genus, itertools.chain.from_iterable(
+        mu.support[i].letters for i in steps
+    ))
+
+
+def test_step_atoms_factor_only_the_multi_letter_walks():
+    # Humphries atoms are single letters: no factors
+    mu = walk.make_step_distribution(GS)
+    for index in range(20):
+        path = walk.sample_path(mu, 40, walk.sample_seed(2, index))
+        assert path.final.factors == ()
+        assert path.final == _product_of_steps(mu, path.steps)
+    # Torelli atoms: one factor per kept atom, each an atom's program
+    mu = walk.make_step_distribution(torelli_generators(S2, 4))
+    system = get_system(2)
+    programs = [system.compile_word(w.letters) for w in mu.support]
+    factored = 0
+    for index in range(20):
+        path = walk.sample_path(mu, 40, walk.sample_seed(2, index))
+        w = path.final
+        assert w == _product_of_steps(mu, path.steps)
+        assert all(f in programs for f in w.factors)
+        factored += bool(w.factors)
+    assert factored == 20
+
+
+def test_a_letter_cancelling_between_atoms_drops_the_factors():
+    # (1,1)(2,1) then (2,-1)(3,1): the product reduces across the atoms
+    a = MappingClassWord.make(2, ((1, 1), (2, 1)))
+    b = MappingClassWord.make(2, ((2, -1), (3, 1)))
+    mu = walk.StepDistribution((a, a.inverse(), b, b.inverse()), (Fraction(1, 4),) * 4)
+    kinds = Counter()
+    for index in range(200):
+        path = walk.sample_path(mu, 12, walk.sample_seed(4, index))
+        assert path.final == _product_of_steps(mu, path.steps)
+        if path.final.factors:
+            # no letter cancels between the kept atoms: their product is w
+            battery = get_system(2).edge_battery
+            reference = TwistSystem(2).compile_word(path.final.letters)
+            joined = TwistSystem(2).compile_word(path.final.letters, path.final.factors)
+            assert joined.apply_all(battery) == reference.apply_all(battery)
+        kinds[bool(path.final.factors)] += 1
+    assert kinds[True] and kinds[False]
 
 
 def test_sampled_step_frequencies_match_the_law():
