@@ -118,6 +118,8 @@ def enumerate_ball(
 
     Runs breadth-first over canonical keys, so distances are exact word
     lengths over the generator set, not word lengths of chain letters.
+    A frontier element is not extended by the inverse of the step that
+    reached it, which leads back to its parent, already in the ball.
     The result is cached per (gs, k, budget); callers must treat the
     returned mapping as read-only.
     """
@@ -130,18 +132,23 @@ def enumerate_ball(
     steps = _signed_generator_words(gs)
     start = curves.ElementState.identity(genus)
     out: dict[tuple, tuple[int, tuple[tuple[int, int], ...]]] = {start.key: (0, ())}
-    frontier = [(start, ())]
+    # a frontier entry keeps the index of its last step, whose paired
+    # inverse (index ^ 1) leads back to an element already in ``out``
+    frontier = [(start, (), -1)]
     for dist in range(1, k + 1):
         next_frontier = []
-        for (state, state_word) in frontier:
-            for letters in steps:
+        for (state, state_word, last) in frontier:
+            back = last ^ 1
+            for (index, letters) in enumerate(steps):
+                if index == back:
+                    continue
                 new_state = state.left_mul(letters)
                 key = new_state.key
                 if key in out:
                     continue
                 word = letters + state_word
                 out[key] = (dist, word)
-                next_frontier.append((new_state, word))
+                next_frontier.append((new_state, word, index))
         frontier = next_frontier
     return out
 

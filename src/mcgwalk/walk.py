@@ -3,14 +3,18 @@
 All measures are exact rationals; floating point never enters a
 probability.  Group elements are identified by the keys of their
 ``curves.ElementState``, so convolution masses are aggregated per
-mapping class, not per word.  Convolution levels are cached per step
-distribution (a few at a time) and the chain of levels is extended on
-demand, so asking for mu^(n) again, or for a shallower level, does no
-engine or homology work; the budget check is repeated on cached levels,
-so a warm cache fails exactly where a cold build would.  Sampling is
-counter-based: the random stream for a sample is derived from a seed
-string alone, so batches reproduce exactly regardless of execution
-order or worker count.
+mapping class, not per word.  A convolution level mu^(n) sums integer
+weights over D^n, D the common denominator of the step masses, and
+builds one ``Fraction`` per element when its measure is read; the step
+that leads an element back to the one it was first reached from reuses
+that element's state, with no engine call.  Convolution levels are
+cached per step distribution (a few at a time) and the chain of levels
+is extended on demand, so asking for mu^(n) again, or for a shallower
+level, does no engine or homology work; the budget check is repeated
+on cached levels, so a warm cache fails exactly where a cold build
+would.  Sampling is counter-based: the random stream for a sample is
+derived from a seed string alone, so batches reproduce exactly
+regardless of execution order or worker count.
 """
 
 from __future__ import annotations
@@ -66,6 +70,12 @@ class StepDistribution:
         return (denominator, tuple(accumulate(int(m * denominator) for m in self.masses)))
 
     @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        """Per atom, the index of an atom equal to its inverse word, or -1."""
+        index = {w: i for (i, w) in enumerate(self.support)}
+        return tuple(index.get(w.inverse(), -1) for w in self.support)
+
+    @cached_property
     def _reductions(self) -> tuple[tuple[tuple[curves.Letter, curves.Letter], ...], ...]:
         """Per atom, each of its letters with the letter's inverse."""
         return tuple(tuple(((k, s), (k, -s)) for (k, s) in w.letters) for w in self.support)
@@ -85,10 +95,9 @@ class StepDistribution:
             not w.letters or MappingClassWord.make(w.genus, w.letters) != w for w in words
         ):
             return None
-        index = {w: i for (i, w) in enumerate(words)}
         system = get_system(self.genus)
         return (
-            tuple(index.get(w.inverse(), -1) for w in words),
+            self._inverses,
             tuple((w.letters[0][0], -w.letters[0][1]) for w in words),
             tuple(w.letters[-1] for w in words),
             tuple(system.compile_word(w.letters) for w in words),
@@ -219,52 +228,76 @@ class EmpiricalMeasure:
         return len(self.masses)
 
 
-@dataclass(frozen=True)
-class _ConvState:
+@dataclass(slots=True)
+class _LevelEntry:
+    """One element of a convolution level mu^(i): its state and key, its
+    first representative, and its mass times D^i as an integer weight.
+    ``parent`` is the entry of mu^(i-1) it was first reached from, and
+    ``back`` the index of the atom inverse to that step (-1 if none)."""
+
     state: curves.ElementState
+    key: tuple
     word: MappingClassWord
-    mass: Fraction
+    weight: int
+    parent: Optional["_LevelEntry"]
+    back: int
 
 
 class _LevelChain:
     """The left-extension levels mu^(0), mu^(1), ... of one step distribution.
 
     ``levels[i]`` maps the canonical key of each element of mu^(i) to its
-    state, in insertion order; ``measures[i]`` is the sorted measure of
-    that level, built on first request.
+    entry, in insertion order; ``measures[i]`` is the sorted measure of
+    that level, built on first request.  Masses are integer weights over
+    D^i, D the common denominator of the step masses.
     """
 
     def __init__(self, mu: StepDistribution):
-        genus = mu.genus
-        self.mu = mu
-        start = curves.ElementState.identity(genus)
-        self.levels: list[dict[tuple, _ConvState]] = [
-            {start.key: _ConvState(start, MappingClassWord.make(genus, ()), Fraction(1))}
+        self.denominator = mu._cutoffs[0]
+        # per atom: its index, word, weight over D and inverse atom index
+        self.steps = tuple(
+            (i, w, int(m * self.denominator), mu._inverses[i])
+            for (i, (w, m)) in enumerate(zip(mu.support, mu.masses))
+        )
+        start = curves.ElementState.identity(mu.genus)
+        identity = MappingClassWord.make(mu.genus, ())
+        self.levels: list[dict[tuple, _LevelEntry]] = [
+            {start.key: _LevelEntry(start, start.key, identity, 1, None, -1)}
         ]
         self.measures: list[Optional[EmpiricalMeasure]] = [None]
 
     def extend(self) -> None:
-        """Append mu^(i+1) = mu * mu^(i) for the deepest level i."""
-        next_states: dict[tuple, _ConvState] = {}
-        for conv in self.levels[-1].values():
-            for (s_word, s_mass) in zip(self.mu.support, self.mu.masses):
-                state = conv.state.left_mul(s_word.letters)
-                key = state.key
-                mass = s_mass * conv.mass
-                seen = next_states.get(key)
-                if seen is None:
-                    next_states[key] = _ConvState(state, s_word * conv.word, mass)
+        """Append mu^(i+1) = mu * mu^(i) for the deepest level i.
+
+        The atom inverse to an entry's first step leads back to its
+        parent, whose state and key are reused with no engine call.
+        """
+        next_entries: dict[tuple, _LevelEntry] = {}
+        for entry in self.levels[-1].values():
+            for (index, s_word, s_weight, s_back) in self.steps:
+                if index == entry.back:
+                    parent = entry.parent
+                    (state, key) = (parent.state, parent.key)
                 else:
-                    next_states[key] = _ConvState(seen.state, seen.word, seen.mass + mass)
-        self.levels.append(next_states)
+                    state = entry.state.left_mul(s_word.letters)
+                    key = state.key
+                seen = next_entries.get(key)
+                if seen is None:
+                    next_entries[key] = _LevelEntry(
+                        state, key, s_word * entry.word, s_weight * entry.weight, entry, s_back
+                    )
+                else:
+                    seen.weight += s_weight * entry.weight
+        self.levels.append(next_entries)
         self.measures.append(None)
 
     def measure(self, n: int) -> EmpiricalMeasure:
         if self.measures[n] is None:
+            scale = self.denominator**n
             items = sorted(self.levels[n].items(), key=lambda kv: kv[0])
             self.measures[n] = EmpiricalMeasure(
-                masses=tuple((key, st.mass) for (key, st) in items),
-                representatives=tuple(st.word for (_key, st) in items),
+                masses=tuple((key, Fraction(e.weight, scale)) for (key, e) in items),
+                representatives=tuple(e.word for (_key, e) in items),
             )
         return self.measures[n]
 
@@ -282,9 +315,14 @@ def exact_convolution(
     Built by left extension mu^(n) = mu * mu^(n-1): the battery images
     and homology matrix of s*g follow from those of g by one generator
     application, so each element extends in constant work regardless of
-    word length.  Levels are cached per step distribution (the four most
-    recently used) and the chain is extended only when a deeper n is
-    asked for; the returned measure is shared between calls and frozen.
+    word length.  When g was first reached as t*p and s is the atom
+    equal to t's inverse word, s*g is p, whose state and key are reused.
+    Masses are summed as integer weights over D^n, D the common
+    denominator of the step masses, and reduced to fractions once per
+    element of the returned measure.  Levels are cached per step
+    distribution (the four most recently used) and the chain is extended
+    only when a deeper n is asked for; the returned measure is shared
+    between calls and frozen.
     The budget check runs on every level below n, cached or not, so a
     warm cache raises at the same level with the same ``required`` as a
     cold build.

@@ -10,7 +10,13 @@ from mcgwalk import curve_graph as cg
 from mcgwalk import curves
 from mcgwalk.curves import MappingClassWord, twist_word
 from mcgwalk.errors import BudgetExceededError
-from mcgwalk.surface import Surface, humphries_generators, separating_word
+from mcgwalk.surface import (
+    GeneratorSet,
+    Surface,
+    humphries_generators,
+    separating_word,
+    torelli_generators,
+)
 
 S2 = Surface(2, 0)
 
@@ -107,6 +113,65 @@ def test_ball_distances_are_exact_word_lengths():
         assert len(letters) == dist
         if dist > 0:
             assert not ball_membership(w, dist - 1)
+
+
+def _first_generators(count: int) -> GeneratorSet:
+    gs = humphries_generators(S2)
+    matrix = tuple(row[:count] for row in gs.intersection_matrix[:count])
+    return GeneratorSet(S2, gs.generators[:count], matrix)
+
+
+def _reference_ball(gs, k):
+    """The radius-k ball by the plain breadth-first search: every signed
+    generator applied to every frontier element."""
+    steps = cg._signed_generator_words(gs)
+    start = curves.ElementState.identity(gs.surface.genus)
+    out = {start.key: (0, ())}
+    frontier = [(start, ())]
+    for dist in range(1, k + 1):
+        next_frontier = []
+        for (state, state_word) in frontier:
+            for letters in steps:
+                new_state = state.left_mul(letters)
+                key = new_state.key
+                if key in out:
+                    continue
+                word = letters + state_word
+                out[key] = (dist, word)
+                next_frontier.append((new_state, word))
+        frontier = next_frontier
+    return out
+
+
+@pytest.mark.parametrize(
+    "make_gs,k",
+    [
+        (lambda: _first_generators(2), 6),
+        (lambda: humphries_generators(S2), 3),
+        (lambda: torelli_generators(S2, 4), 2),
+    ],
+    ids=["two-twist", "humphries", "torelli"],
+)
+def test_ball_matches_the_plain_breadth_first_search(make_gs, k, monkeypatch):
+    gs = make_gs()
+    calls = [0]
+    left_mul = curves.ElementState.left_mul
+
+    def counting(self, letters):
+        calls[0] += 1
+        return left_mul(self, letters)
+
+    monkeypatch.setattr(curves.ElementState, "left_mul", counting)
+    for radius in range(k + 1):
+        reference = _reference_ball(gs, radius)
+        plain = calls[0]
+        calls[0] = 0
+        ball = cg.enumerate_ball.__wrapped__(gs, radius)
+        assert list(ball.items()) == list(reference.items())
+        # every frontier element beyond the identity skips its step back
+        inner = sum(1 for (dist, _w) in ball.values() if 0 < dist < radius)
+        assert calls[0] == plain - inner
+        calls[0] = 0
 
 
 def _brute_force_k_dense(R, k):

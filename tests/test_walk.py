@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -245,11 +246,97 @@ def test_one_deeper_level_costs_one_level_of_work(monkeypatch):
     calls[0] = 0
     walk.exact_convolution(mu, 5)
     battery = len(get_system(2).edge_battery)
-    assert calls[0] == len(m4) * len(mu.support) * battery
+    # every level-4 element steps back to its parent with no replay
+    assert calls[0] == len(m4) * (len(mu.support) - 1) * battery
     calls[0] = 0
     assert walk.exact_convolution(mu, 5) is walk.exact_convolution(mu, 5)
     walk.exact_convolution(mu, 2)
     assert calls[0] == 0
+
+
+@dataclass(frozen=True)
+class _ConvState:
+    state: curves.ElementState
+    word: MappingClassWord
+    mass: Fraction
+
+
+def _reference_levels(mu, n):
+    """The levels mu^(0) .. mu^(n) as (masses, representatives), by the
+    plain left extension: every atom replayed on every element and the
+    masses added as Fractions."""
+    start = curves.ElementState.identity(mu.genus)
+    level = {start.key: _ConvState(start, MappingClassWord.make(mu.genus, ()), Fraction(1))}
+    out = []
+    for i in range(n + 1):
+        items = sorted(level.items(), key=lambda kv: kv[0])
+        out.append(
+            (
+                tuple((key, conv.mass) for (key, conv) in items),
+                tuple(conv.word for (_key, conv) in items),
+            )
+        )
+        if i == n:
+            break
+        next_states: dict = {}
+        for conv in level.values():
+            for (s_word, s_mass) in zip(mu.support, mu.masses):
+                state = conv.state.left_mul(s_word.letters)
+                key = state.key
+                mass = s_mass * conv.mass
+                seen = next_states.get(key)
+                if seen is None:
+                    next_states[key] = _ConvState(state, s_word * conv.word, mass)
+                else:
+                    next_states[key] = _ConvState(seen.state, seen.word, seen.mass + mass)
+        level = next_states
+    return out
+
+
+def _positive_twists() -> walk.StepDistribution:
+    support = tuple(twist_word(2, k) for k in (1, 2, 3))
+    return walk.StepDistribution(support, (Fraction(1, 3),) * 3)
+
+
+def _skewed_two_twists() -> walk.StepDistribution:
+    support = walk.make_step_distribution(_sub_generators(2)).support
+    return walk.StepDistribution(support, (Fraction(1, 2),) + (Fraction(1, 6),) * 3)
+
+
+@pytest.mark.parametrize(
+    "make_mu,n",
+    [
+        (lambda: walk.make_step_distribution(_sub_generators(2)), 6),
+        (lambda: walk.make_step_distribution(GS), 4),
+        (lambda: walk.make_step_distribution(_sub_generators(3)), 4),
+        (_skewed_two_twists, 5),
+        (_positive_twists, 4),
+    ],
+    ids=["two-twist", "humphries", "three-twist", "skewed", "no-inverses"],
+)
+def test_convolution_matches_the_plain_fraction_extension(make_mu, n, monkeypatch):
+    mu = make_mu()
+    reference = _reference_levels(mu, n)
+    calls = [0]
+    left_mul = curves.ElementState.left_mul
+
+    def counting(self, letters):
+        calls[0] += 1
+        return left_mul(self, letters)
+
+    monkeypatch.setattr(curves.ElementState, "left_mul", counting)
+    for i in range(n + 1):
+        m = _cold_convolution(mu, i)
+        assert (m.masses, m.representatives) == reference[i]
+    # the last cold build extended every level below n once; an element
+    # reached by a step with an inverse atom reuses its parent once
+    sizes = [len(masses) for (masses, _reps) in reference[:n]]
+    calls[0] = 0
+    _cold_convolution(mu, n)
+    inverse_closed = -1 not in mu._inverses
+    assert inverse_closed or set(mu._inverses) == {-1}
+    reused = sum(sizes[1:]) if inverse_closed else 0
+    assert calls[0] == sum(sizes) * len(mu.support) - reused
 
 
 def test_convolution_representatives_have_their_keys():
