@@ -58,7 +58,7 @@ def distance_bounds(a: CurveCoordinates, b: CurveCoordinates) -> DistanceBounds:
 def basepoint(genus: int) -> CurveCoordinates:
     """The curve-graph orbit basepoint x0 (the first chain curve), built
     once per genus."""
-    return curves.chain_curves(Surface(genus, 0))[0]
+    return curves.chain_curve(Surface(genus, 0), 1)
 
 
 def rel_length_proxy(w: MappingClassWord) -> DistanceBounds:
@@ -95,15 +95,6 @@ class FiniteElementSet:
         return len(self.words)
 
 
-def _signed_generator_words(gs: GeneratorSet) -> list[tuple[tuple[int, int], ...]]:
-    out = []
-    for g in gs.generators:
-        inv = tuple((k, -s) for (k, s) in reversed(g.word))
-        out.append(tuple(g.word))
-        out.append(inv)
-    return out
-
-
 def _naive_ball_size(n_generators: int, k: int) -> int:
     a = 2 * n_generators
     return sum(a**j for j in range(k + 1))
@@ -116,40 +107,31 @@ def enumerate_ball(
     """Map from canonical key to (exact word-metric distance, witness word)
     for the radius-k ball around the identity.
 
-    Runs breadth-first over canonical keys, so distances are exact word
-    lengths over the generator set, not word lengths of chain letters.
-    A frontier element is not extended by the inverse of the step that
-    reached it, which leads back to its parent, already in the ball.
+    Read from the convolution levels of the uniform step distribution on
+    gs (``walk.make_step_distribution``): level j holds every product of
+    j signed generators, so an element's distance is the first level
+    that holds it, and its witness is that level's representative.  The
+    levels are the ones ``walk.exact_convolution`` caches, extended only
+    as deep as k.  Distances are exact word lengths over the generator
+    set, not word lengths of chain letters.
     The result is cached per (gs, k, budget); callers must treat the
     returned mapping as read-only.
     """
+    from . import walk  # deferred: walk imports curve_graph
+
     if k < 0:
         raise ValueError("radius must be nonnegative")
     naive = _naive_ball_size(len(gs.generators), k)
     if naive > budget:
         raise BudgetExceededError("ball enumeration over budget", required=naive)
-    genus = gs.surface.genus
-    steps = _signed_generator_words(gs)
-    start = curves.ElementState.identity(genus)
-    out: dict[tuple, tuple[int, tuple[tuple[int, int], ...]]] = {start.key: (0, ())}
-    # a frontier entry keeps the index of its last step, whose paired
-    # inverse (index ^ 1) leads back to an element already in ``out``
-    frontier = [(start, (), -1)]
-    for dist in range(1, k + 1):
-        next_frontier = []
-        for (state, state_word, last) in frontier:
-            back = last ^ 1
-            for (index, letters) in enumerate(steps):
-                if index == back:
-                    continue
-                new_state = state.left_mul(letters)
-                key = new_state.key
-                if key in out:
-                    continue
-                word = letters + state_word
-                out[key] = (dist, word)
-                next_frontier.append((new_state, word, index))
-        frontier = next_frontier
+    chain = walk._level_chain(walk.make_step_distribution(gs))
+    while len(chain.levels) <= k:
+        chain.extend()
+    out: dict[tuple, tuple[int, tuple[tuple[int, int], ...]]] = {}
+    for (dist, level) in enumerate(chain.levels[: k + 1]):
+        for (key, entry) in level.items():
+            if key not in out:
+                out[key] = (dist, entry.word.letters)
     return out
 
 

@@ -139,18 +139,21 @@ class CurveCoordinates:
         return self.transport is not None
 
 
+def chain_curve(s: Surface, k: int) -> CurveCoordinates:
+    """The chain curve c_k, 1 <= k <= 2g + 1, with its golden coordinate vector."""
+    _require_full_support(s)
+    if not 1 <= k <= 2 * s.genus + 1:
+        raise UnknownCurveError(f"c_{k} out of range for genus {s.genus}")
+    return CurveCoordinates(
+        genus=s.genus,
+        vector=get_system(s.genus).chain_vectors[k - 1],
+        transport=((), k),
+    )
+
+
 def chain_curves(s: Surface) -> list[CurveCoordinates]:
     """The chain curves c_1 .. c_{2g+1} with golden coordinate vectors."""
-    _require_full_support(s)
-    system = get_system(s.genus)
-    return [
-        CurveCoordinates(
-            genus=s.genus,
-            vector=system.chain_vectors[k - 1],
-            transport=((), k),
-        )
-        for k in range(1, 2 * s.genus + 2)
-    ]
+    return [chain_curve(s, k) for k in range(1, 2 * s.genus + 2)]
 
 
 def _separating_vector(genus: int, j: int) -> tuple[int, ...]:
@@ -183,7 +186,7 @@ def separating_curve(s: Surface, j: int) -> CurveCoordinates:
 
 def curve_for_id(s: Surface, cid: CurveId) -> CurveCoordinates:
     if cid.family == "chain":
-        return chain_curves(s)[cid.index - 1]
+        return chain_curve(s, cid.index)
     if cid.family == "separating":
         return separating_curve(s, cid.index)
     raise UnknownCurveError(f"unknown curve family {cid.family!r}")

@@ -131,7 +131,9 @@ class WalkSample:
         return (*prefixes, self.final) if self.steps else ()
 
     def location(self, n: int) -> MappingClassWord:
-        """w_n, with w_0 the empty word."""
+        """w_n for 0 <= n <= len(steps), with w_0 the empty word."""
+        if not 0 <= n <= len(self.steps):
+            raise ValueError(f"no location w_{n} on a walk of {len(self.steps)} steps")
         if n == len(self.steps):
             return self.final
         if n == 0:
@@ -249,7 +251,8 @@ class _LevelChain:
     ``levels[i]`` maps the canonical key of each element of mu^(i) to its
     entry, in insertion order; ``measures[i]`` is the sorted measure of
     that level, built on first request.  Masses are integer weights over
-    D^i, D the common denominator of the step masses.
+    D^i, D the common denominator of the step masses.  Word-metric balls
+    (``curve_graph.enumerate_ball``) are read from the same levels.
     """
 
     def __init__(self, mu: StepDistribution):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from mcgwalk import curve_graph as cg
-from mcgwalk import curves
+from mcgwalk import curves, walk
 from mcgwalk.curves import MappingClassWord, twist_word
 from mcgwalk.errors import BudgetExceededError
 from mcgwalk.surface import (
@@ -124,7 +124,10 @@ def _first_generators(count: int) -> GeneratorSet:
 def _reference_ball(gs, k):
     """The radius-k ball by the plain breadth-first search: every signed
     generator applied to every frontier element."""
-    steps = cg._signed_generator_words(gs)
+    steps = []
+    for g in gs.generators:
+        steps.append(tuple(g.word))
+        steps.append(tuple((i, -s) for (i, s) in reversed(g.word)))
     start = curves.ElementState.identity(gs.surface.genus)
     out = {start.key: (0, ())}
     frontier = [(start, ())]
@@ -154,6 +157,7 @@ def _reference_ball(gs, k):
 )
 def test_ball_matches_the_plain_breadth_first_search(make_gs, k, monkeypatch):
     gs = make_gs()
+    mu = walk.make_step_distribution(gs)
     calls = [0]
     left_mul = curves.ElementState.left_mul
 
@@ -162,16 +166,25 @@ def test_ball_matches_the_plain_breadth_first_search(make_gs, k, monkeypatch):
         return left_mul(self, letters)
 
     monkeypatch.setattr(curves.ElementState, "left_mul", counting)
+    references = [list(_reference_ball(gs, radius).items()) for radius in range(k + 1)]
     for radius in range(k + 1):
-        reference = _reference_ball(gs, radius)
-        plain = calls[0]
+        walk._level_chain.cache_clear()
         calls[0] = 0
         ball = cg.enumerate_ball.__wrapped__(gs, radius)
-        assert list(ball.items()) == list(reference.items())
-        # every frontier element beyond the identity skips its step back
-        inner = sum(1 for (dist, _w) in ball.values() if 0 < dist < radius)
-        assert calls[0] == plain - inner
+        assert list(ball.items()) == references[radius]
+        # a cold ball builds exactly the levels of a cold convolution
+        cold_ball = calls[0]
+        walk._level_chain.cache_clear()
         calls[0] = 0
+        walk.exact_convolution(mu, radius)
+        assert calls[0] == cold_ball
+    # over levels a convolution has built, a ball only reads them
+    walk.exact_convolution(mu, k)
+    for radius in range(k + 1):
+        calls[0] = 0
+        ball = cg.enumerate_ball.__wrapped__(gs, radius)
+        assert calls[0] == 0
+        assert list(ball.items()) == references[radius]
 
 
 def _brute_force_k_dense(R, k):

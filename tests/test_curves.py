@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from mcgwalk import curves, homology, walk
 from mcgwalk.curves import MappingClassWord, twist_word
-from mcgwalk.errors import IntersectionUnsupportedError, UnsupportedSurfaceError
+from mcgwalk.errors import (
+    IntersectionUnsupportedError,
+    UnknownCurveError,
+    UnsupportedSurfaceError,
+)
 from mcgwalk.surface import CurveId, Surface, torelli_generators
 
 S2 = Surface(2, 0)
@@ -162,6 +166,28 @@ def test_curve_for_id_families():
     assert curves.curve_for_id(S2, CurveId("separating", 1)).cover_type == "double"
     with pytest.raises(KeyError):
         curves.curve_for_id(S2, CurveId("unknown", 1))
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_chain_curve_ids_are_checked_and_built_alone(genus, monkeypatch):
+    s = Surface(genus, 0)
+    for index in (-1, 0, 2 * genus + 2):
+        with pytest.raises(UnknownCurveError):
+            curves.curve_for_id(s, CurveId("chain", index))
+    chain = curves.chain_curves(s)
+    built = []
+    check = curves.CurveCoordinates.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(curves.CurveCoordinates, "__post_init__", counting)
+    for k in range(1, 2 * genus + 2):
+        built.clear()
+        c = curves.curve_for_id(s, CurveId("chain", k))
+        assert c == chain[k - 1] and c.transport == ((), k)
+        assert built == [c]
 
 
 def test_alexander_identity_test():

@@ -23,7 +23,9 @@ from mcgwalk import harness  # noqa: E402
 from mcgwalk.harness import run_experiment  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["pa_humphries", "torelli_growth", "lemma_convolution"])
+@pytest.mark.parametrize(
+    "name", ["pa_humphries", "torelli_growth", "lemma_convolution", "transience_keys"]
+)
 def test_benchmark_outputs_match_their_pinned_digests(name, tmp_path):
     pinned = workloads.PINNED_SHA256[name]
     digests = []

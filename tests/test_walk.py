@@ -65,6 +65,9 @@ def test_sample_path_is_deterministic_in_the_seed():
     assert a.steps != c.steps
     assert a.location(0).letters == ()
     assert a.location(25) is a.locations[-1]
+    for outside in (-1, 26):
+        with pytest.raises(ValueError):
+            a.location(outside)
     with pytest.raises(ValueError):
         walk.sample_path(mu, -1, "s")
 
@@ -230,6 +233,20 @@ def test_budget_guard_is_the_same_on_a_warm_cache(budget):
     with pytest.raises(BudgetExceededError) as warm:
         walk.exact_convolution(mu, 10, budget=budget)
     assert warm.value.required == cold.value.required > budget
+    # a ball checks its naive size before any work, however deep the chain
+    walk._level_chain.cache_clear()
+    with pytest.raises(BudgetExceededError) as cold_ball:
+        curve_graph.enumerate_ball(GS, 3, budget=budget)
+    walk.exact_convolution(mu, 4)
+    with pytest.raises(BudgetExceededError) as warm_ball:
+        curve_graph.enumerate_ball(GS, 3, budget=budget)
+    assert warm_ball.value.required == cold_ball.value.required > budget
+    # a ball that builds levels leaves the convolution's checks as they were
+    walk._level_chain.cache_clear()
+    curve_graph.enumerate_ball.__wrapped__(GS, 3)
+    with pytest.raises(BudgetExceededError) as after_ball:
+        walk.exact_convolution(mu, 10, budget=budget)
+    assert after_ball.value.required == cold.value.required
 
 
 def test_one_deeper_level_costs_one_level_of_work(monkeypatch):
