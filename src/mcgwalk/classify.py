@@ -74,10 +74,11 @@ def periodic_order(w: MappingClassWord) -> Optional[int]:
     is at most 4g + 2 (Wiman's bound).  The traces p_n = tr M^n for
     n <= 4g + 2 come from the characteristic polynomial by Newton's
     recurrence.  A trace with |p_n| > 2g has an eigenvalue off the unit
-    circle, so M has infinite order.  At the first n with p_n = 2g, one
-    power decides: a finite-order M is diagonalisable with eigenvalues
-    of modulus one, so p_n = 2g and M^n != I mean infinite order, and
-    M^n = I leaves one identity test of w^n.
+    circle, so M has infinite order (``power_traces`` ends there).  At
+    the first n with p_n = 2g, one power decides: a finite-order M is
+    diagonalisable with eigenvalues of modulus one, so p_n = 2g and
+    M^n != I mean infinite order, and M^n = I leaves one identity test
+    of w^n.
     """
     genus = w.genus
     for n, trace in enumerate(w.power_traces, 1):

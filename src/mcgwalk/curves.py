@@ -95,8 +95,15 @@ class MappingClassWord:
 
     @cached_property
     def power_traces(self) -> tuple[int, ...]:
-        """tr M^n for n = 1 .. 4g + 2, M the homology matrix; built once."""
-        return tuple(homology.power_sums(self.char_poly, 4 * self.genus + 2))
+        """tr M^n for n = 1 .. 4g + 2, M the homology matrix, up to the
+        first n with |tr M^n| > 2g (the screens stop there); built once."""
+        bound = 2 * self.genus
+        out = []
+        for p in homology.power_sums(self.char_poly, 2 * bound + 2):
+            out.append(p)
+            if abs(p) > bound:
+                break
+        return tuple(out)
 
     def __mul__(self, other: "MappingClassWord") -> "MappingClassWord":
         if other.genus != self.genus:

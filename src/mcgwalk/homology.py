@@ -2,13 +2,16 @@
 
 Dehn twists act on H_1 of the surface by symplectic transvections
 x -> x + <x,[c]>[c].  A chain curve's class has one or two nonzero
-entries, so ``chain_word_matrix`` (column updates) and
-``chain_word_times`` (row updates) multiply by a word's matrix in O(g)
-integer additions per letter; ``transvection_by`` builds the dense
-transvection and is the reference those products are tested against.
+entries, so a chain letter adds one column (row) of a product, or the
+sum of two, to one or two other columns (rows).  ``chain_word_matrix``
+keeps each column as one int of 2g signed w-bit lanes, a letter costing
+one big-int add or two: the source and target columns are disjoint, so
+each letter at most triples the largest |entry|, and w > L log2 3 + 1
+bits hold every entry of an L-letter product.  ``chain_word_times``
+multiplies a given matrix by row updates.
 A word's matrix M is symplectic, so its characteristic polynomial is
 reciprocal and follows from tr M^k, k <= g, by Newton's identities
-(``char_poly``); ``power_sums`` runs them back to tr M^n for any n.
+(``char_poly``); ``power_sums`` runs them on to tr M^n for any n.
 A word whose characteristic polynomial is irreducible, not cyclotomic,
 and not a polynomial in t^k for k >= 2 is pseudo-Anosov (a one-sided
 certificate; the converse fails, e.g. on the Torelli group, where the
@@ -18,10 +21,11 @@ matrix is the identity).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from itertools import chain
+from operator import add, mul, sub
+from typing import Iterator, Optional, Sequence
 
 from .errors import UnknownCurveError
 
@@ -72,7 +76,7 @@ class SymplecticMatrix:
         return SymplecticMatrix.identity(self.dimension) if out is None else out
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple([sum(map(operator.mul, row, vec)) for row in self.entries])
+        return tuple([sum(map(mul, row, vec)) for row in self.entries])
 
 
 def symplectic_form(g: int) -> SymplecticMatrix:
@@ -110,60 +114,55 @@ def chain_class(g: int, k: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def transvection_by(g: int, vec: Sequence[int], sign: int = 1) -> SymplecticMatrix:
-    """Matrix of x -> x + sign <x, v> v (a twist of that sign about a
-    curve in class v)."""
-    j = symplectic_form(g)
-    jv = j.apply(vec)
-    dim = 2 * g
-    rows = []
-    for i in range(dim):
-        row = [1 if i == c else 0 for c in range(dim)]
-        for c in range(dim):
-            row[c] += sign * vec[i] * jv[c]
-        rows.append(tuple(row))
-    return SymplecticMatrix(tuple(rows))
-
-
 @lru_cache(maxsize=None)
-def _column_updates(g: int) -> dict:
-    """Sparse transvection data per signed chain letter (k, sign): the
-    nonzero entries (i, v_i) of v = [c_k] and (c, sign (Jv)_c) of sign Jv."""
+def _letter_ops(g: int) -> dict:
+    """Per signed chain letter (k, sign): the indices src of v = [c_k]'s
+    entries (all 1), dst of Jv's (all of one sign), and sign (Jv)_dst > 0."""
     j = symplectic_form(g)
     out = {}
     for k in range(1, 2 * g + 2):
         vec = chain_class(g, k)
         jv = j.apply(vec)
-        src = tuple((i, x) for i, x in enumerate(vec) if x)
+        src = tuple(i for i, x in enumerate(vec) if x)
+        dst = tuple(c for c, x in enumerate(jv) if x)
         for sign in (1, -1):
-            out[k, sign] = (src, tuple((c, sign * x) for c, x in enumerate(jv) if x))
+            out[k, sign] = (src, dst, sign * jv[dst[0]] > 0)
     return out
 
 
 def chain_word_matrix(g: int, letters: Sequence[tuple[int, int]]) -> SymplecticMatrix:
     """Homology action of a signed chain-letter word, convention ab(x) = a(b(x)).
 
-    The product is built left to right on mutable rows: right
-    multiplication by T = I + sign v (Jv)^T adds sign (Jv)_c (row . v)
-    to column c of each row, and v and Jv have at most two nonzero
-    entries each.
+    Built left to right on packed columns (see the module docstring):
+    right multiplication by T = I + sign v (Jv)^T adds sign (Jv)_c M v to
+    each column c with (Jv)_c != 0.  The lanes are decoded once, lowest
+    first, each negative lane borrowing from the next.
     """
     dim = 2 * g
-    rows = [[1 if i == c else 0 for c in range(dim)] for i in range(dim)]
-    updates = _column_updates(g)
+    w = len(letters) * 1585 // 1000 + 3
+    cols = [1 << (w * c) for c in range(dim)]
+    ops = _letter_ops(g)
     for letter in letters:
         try:
-            src, dst = updates[letter]
+            src, dst, plus = ops[letter]
         except KeyError:
             raise UnknownCurveError(f"no chain letter {letter} in genus {g}") from None
-        for row in rows:
-            x = 0
-            for (i, a) in src:
-                x += a * row[i]
-            if x:
-                for (c, b) in dst:
-                    row[c] += b * x
-    return SymplecticMatrix(tuple(map(tuple, rows)))
+        x = cols[src[0]] if len(src) == 1 else cols[src[0]] + cols[src[1]]
+        for c in dst:
+            cols[c] = cols[c] + x if plus else cols[c] - x
+    full = 1 << w
+    mask, half = full - 1, full >> 1
+    out = []
+    for x in cols:
+        col = []
+        for _r in range(dim):
+            y = x & mask
+            if y >= half:
+                y -= full
+            col.append(y)
+            x = (x - y) >> w
+        out.append(col)
+    return SymplecticMatrix(tuple(zip(*out)))
 
 
 def chain_word_times(
@@ -172,20 +171,20 @@ def chain_word_times(
     """The product ``chain_word_matrix(g, letters) * m`` by sparse row updates.
 
     The letters act right to left: left multiplication by
-    T = I + sign v (Jv)^T adds v_i u to row i of m, where the row
-    vector u = sign (Jv)^T m combines at most two rows of m, and v has
-    at most two nonzero entries v_i.
+    T = I + sign v (Jv)^T adds the row vector sign (Jv)^T m, one row of
+    m or the sum of two, to each row i with v_i = 1.
     """
     rows = list(m.entries)
-    updates = _column_updates(g)
+    ops = _letter_ops(g)
     for letter in reversed(letters):
-        src, dst = updates[letter]
-        (c, b), *rest = dst
-        u = [b * x for x in rows[c]]
-        for (c, b) in rest:
-            u = [y + b * x for x, y in zip(rows[c], u)]
-        for (i, a) in src:
-            rows[i] = tuple([x + a * y for x, y in zip(rows[i], u)])
+        try:
+            src, dst, plus = ops[letter]
+        except KeyError:
+            raise UnknownCurveError(f"no chain letter {letter} in genus {g}") from None
+        u = rows[dst[0]] if len(dst) == 1 else tuple(map(add, rows[dst[0]], rows[dst[1]]))
+        op = add if plus else sub
+        for i in src:
+            rows[i] = tuple(map(op, rows[i], u))
     return SymplecticMatrix(tuple(rows))
 
 
@@ -216,44 +215,42 @@ class IntPolynomial:
 def char_poly(m: SymplecticMatrix) -> IntPolynomial:
     """Exact characteristic polynomial det(tI - M); M must be symplectic.
 
-    A symplectic M has a reciprocal polynomial, c_i = c_{2g-i}, fixed by
-    e_1 .. e_g.  Newton's identities k e_k = sum_{i<=k} (-1)^(i-1)
-    e_{k-i} p_i give those from p_k = tr M^k, k <= g, each read as
-    sum_{r,c} (M^i)_{rc} (M^j)_{cr} with i + j = k and i, j <= ceil(g/2):
-    no product at genus 2, M^2 at genus 3 and 4.  Every division is exact.
+    With c_k the coefficient of t^(2g-k), a symplectic M has c_k = c_{2g-k},
+    so c_1 .. c_g fix it.  Newton's identities k c_k = -sum_{i<=k} c_{k-i} p_i
+    give those from p_k = tr M^k, k <= g: p_1 is the trace, and p_k, k >= 2,
+    is the flattened product sum_{r,c} (M^i)_{rc} (M^j)_{cr} with
+    i + j = k and i, j <= ceil(g/2), so no product at genus 2 and M^2 at
+    genus 3 and 4.  Every division is exact.
     """
-    dim = m.dimension
-    g = dim // 2
-    powers = [SymplecticMatrix.identity(dim), m]  # M^0 .. M^ceil(g/2)
-    while 2 * (len(powers) - 1) < g:
+    g = m.dimension // 2
+    powers = [m]  # M^1 .. M^ceil(g/2)
+    while 2 * len(powers) < g:
         powers.append(powers[-1] * m)
-    e = [1]
-    p = [None]
+    p = [m.trace()]
+    for k in range(2, g + 1):
+        a, b = powers[(k - 1) // 2].entries, powers[k // 2 - 1].entries
+        p.append(sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b)))))
+    c = [1]
     for k in range(1, g + 1):
-        a, b = powers[(k + 1) // 2].entries, powers[k // 2].entries
-        p.append(sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col)))
-        s = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
+        s = sum(map(mul, c, reversed(p[:k])))
         assert s % k == 0
-        e.append(s // k)
-    coeffs = [0] * (dim + 1)
-    for i in range(g + 1):
-        coeffs[i] = coeffs[dim - i] = (-1) ** i * e[i]
-    return IntPolynomial(tuple(coeffs))
+        c.append(-s // k)
+    return IntPolynomial(tuple(c + c[-2::-1]))
 
 
-def power_sums(q: IntPolynomial, n: int) -> list[int]:
-    """The power sums p_1 .. p_n of the roots of the monic q, by Newton's
-    recurrence in integer arithmetic; for q the characteristic
-    polynomial of M, p_k = tr M^k."""
+def power_sums(q: IntPolynomial, n: int) -> Iterator[int]:
+    """The power sums p_1 .. p_n of the roots of the monic q, one at a
+    time, by Newton's recurrence in integer arithmetic; for q the
+    characteristic polynomial of M, p_k = tr M^k."""
     d = q.degree
-    c = q.coeffs
+    c = q.coeffs[-2::-1]  # c[i - 1] is the coefficient of t^(d - i)
     p: list[int] = []
     for k in range(1, n + 1):
-        s = k * c[d - k] if k <= d else 0
-        for i in range(1, min(k - 1, d) + 1):
-            s += c[d - i] * p[k - i - 1]
+        s = sum(map(mul, c, reversed(p)))
+        if k <= d:
+            s += k * c[k - 1]
         p.append(-s)
-    return p
+        yield -s
 
 
 def _divisors(n: int) -> list[int]:
@@ -386,7 +383,8 @@ def casson_bleiler_certificate(w) -> HomologyCertificate:
 
     A cyclotomic q has every root on the unit circle, so each power sum
     satisfies |p_k| <= deg q; one larger trace rules the cyclotomic case
-    out without calling ``is_cyclotomic``.
+    out without calling ``is_cyclotomic``.  ``power_traces`` ends at the
+    first such trace (deg q = 2g is its bound), so the test reads them all.
     """
     q = w.char_poly
     if not is_irreducible(q):

@@ -235,9 +235,10 @@ class _LevelEntry:
     """One element of a convolution level mu^(i): its state and key, its
     first representative, and its mass times D^i as an integer weight.
     ``parent`` is the entry of mu^(i-1) it was first reached from, and
-    ``back`` the index of the atom inverse to that step (-1 if none)."""
+    ``back`` the index of the atom inverse to that step (-1 if none).
+    ``state`` is None below the chain's deepest two levels."""
 
-    state: curves.ElementState
+    state: Optional[curves.ElementState]
     key: tuple
     word: MappingClassWord
     weight: int
@@ -253,6 +254,8 @@ class _LevelChain:
     that level, built on first request.  Masses are integer weights over
     D^i, D the common denominator of the step masses.  Word-metric balls
     (``curve_graph.enumerate_ball``) are read from the same levels.
+    Only the deepest two levels keep their entries' states: ``extend``
+    reads the deepest level's states and its parents' in the level above.
     """
 
     def __init__(self, mu: StepDistribution):
@@ -293,6 +296,9 @@ class _LevelChain:
                     seen.weight += s_weight * entry.weight
         self.levels.append(next_entries)
         self.measures.append(None)
+        if len(self.levels) > 2:
+            for entry in self.levels[-3].values():
+                entry.state = None
 
     def measure(self, n: int) -> EmpiricalMeasure:
         if self.measures[n] is None:

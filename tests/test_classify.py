@@ -552,6 +552,60 @@ def test_certificate_trace_shortcut_matches_the_reference():
     assert {"reducible", "cyclotomic", None} <= {c.failed_subtest for c in certs}
 
 
+def _all_traces(w):
+    return tuple(homology.power_sums(w.char_poly, 4 * w.genus + 2))
+
+
+def _periodic_order_on_all_traces(w: MappingClassWord):
+    """``periodic_order``'s loop over every trace tr M^n, n <= 4g + 2."""
+    genus = w.genus
+    for n, trace in enumerate(_all_traces(w), 1):
+        if abs(trace) > 2 * genus:
+            return None
+        if trace == 2 * genus:
+            if not w.homology_matrix.power(n).is_identity():
+                return None
+            wn = w if n == 1 else MappingClassWord.make(genus, w.letters * n)
+            return n if curves.alexander_identity_test(wn) else None
+    return None
+
+
+def _certificate_on_all_traces(w):
+    """The certificate with its trace shortcut read over every trace."""
+    q = w.char_poly
+    if not homology.is_irreducible(q):
+        return homology.HomologyCertificate("Inconclusive", q, "reducible")
+    if all(abs(p) <= q.degree for p in _all_traces(w)) and homology.is_cyclotomic(q):
+        return homology.HomologyCertificate("Inconclusive", q, "cyclotomic")
+    if homology.power_substitution(q) is not None:
+        return homology.HomologyCertificate("Inconclusive", q, "power_substitution")
+    return homology.HomologyCertificate("CertifiedPA", q, None)
+
+
+def test_power_traces_end_at_the_first_trace_beyond_2g():
+    lengths = set()
+    for w in _periodic_order_cases():
+        traces, full = w.power_traces, _all_traces(w)
+        large = [n for (n, p) in enumerate(full, 1) if abs(p) > 2 * w.genus]
+        assert traces == full[: large[0] if large else len(full)]
+        lengths.add(len(traces))
+    # words stop at the first trace, at later ones, and keep all 4g + 2
+    assert {1, 2, 10, 14, 18} <= lengths
+
+
+def test_screens_match_their_all_traces_references_on_the_exact_convolution():
+    mu = walk.make_step_distribution(surface.humphries_generators(S2))
+    verdicts = set()
+    for n in range(5):
+        for w in walk.exact_convolution(mu, n).representatives:
+            order = classify.periodic_order(w)
+            cert = homology.casson_bleiler_certificate(w)
+            assert order == _periodic_order_on_all_traces(w)
+            assert cert == _certificate_on_all_traces(w)
+            verdicts.add((order, cert.failed_subtest))
+    assert {(1, "reducible"), (10, "cyclotomic"), (None, None)} <= verdicts
+
+
 def test_multicurve_screen_makes_no_engine_call_without_root_of_unity_eigenvalues(
     monkeypatch,
 ):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mcgwalk import homology
 from mcgwalk.curves import MappingClassWord
+from mcgwalk.errors import UnknownCurveError
 from mcgwalk.homology import IntPolynomial, SymplecticMatrix, symplectic_form
 
 
@@ -32,6 +33,26 @@ def _is_symplectic(m: SymplecticMatrix) -> bool:
 def _pairing(g: int, x, y) -> int:
     """Oracle: the algebraic intersection pairing <x, y> = x^T J y."""
     return sum(a * b for a, b in zip(x, symplectic_form(g).apply(y)))
+
+
+def _transvection_by(g: int, vec, sign: int = 1) -> SymplecticMatrix:
+    """Oracle: the dense matrix of x -> x + sign <x, v> v (a twist of that
+    sign about a curve in class v)."""
+    jv = symplectic_form(g).apply(vec)
+    dim = 2 * g
+    return SymplecticMatrix(
+        tuple(
+            tuple((i == c) + sign * vec[i] * jv[c] for c in range(dim))
+            for i in range(dim)
+        )
+    )
+
+
+def _dense_product(genus: int, letters) -> SymplecticMatrix:
+    dense = SymplecticMatrix.identity(2 * genus)
+    for (k, sign) in letters:
+        dense = dense * _transvection_by(genus, homology.chain_class(genus, k), sign)
+    return dense
 
 
 def _poly(coeffs) -> IntPolynomial:
@@ -146,7 +167,12 @@ def test_char_poly_is_cached_per_word():
     assert homology.casson_bleiler_certificate(w).char_poly is q
     traces = w.power_traces
     assert w.power_traces is traces
-    assert traces == tuple(homology.power_sums(q, 4 * 3 + 2))
+    # commuting twists: every trace is 2g, so all 4g + 2 are kept
+    assert traces == tuple(homology.power_sums(q, 4 * 3 + 2)) == (6,) * 14
+    # here tr M^3 is the first trace beyond 2g, and the traces end there
+    w = MappingClassWord.make(3, ((1, 1), (2, 1), (3, 1), (4, -1)))
+    assert w.power_traces == (5, 5, 11)
+    assert tuple(homology.power_sums(w.char_poly, 14))[:3] == (5, 5, 11)
 
 
 def test_chain_classes_have_path_graph_pairings():
@@ -163,7 +189,7 @@ def test_chain_classes_have_path_graph_pairings():
 )
 @settings(max_examples=60, deadline=None)
 def test_transvections_are_symplectic(vec):
-    m = homology.transvection_by(2, vec)
+    m = _transvection_by(2, vec)
     assert _is_symplectic(m)
 
 
@@ -178,12 +204,67 @@ def test_sparse_products_match_dense_transvections(genus):
         for _ in range(25)
     ]
     for letters in words:
-        dense = SymplecticMatrix.identity(2 * genus)
-        for (k, sign) in letters:
-            dense = dense * homology.transvection_by(
-                genus, homology.chain_class(genus, k), sign
-            )
-        assert homology.chain_word_matrix(genus, letters) == dense, letters
+        assert homology.chain_word_matrix(genus, letters) == _dense_product(
+            genus, letters
+        ), letters
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_packed_columns_match_dense_transvections_on_long_words(genus):
+    """Lanes of L log2 3 + O(1) bits hold an L-letter product: words of up
+    to 300 letters reach entries past 2^64, none past 3^L, and the packed
+    product equals the dense one and the row-update product of its parts."""
+    rng = random.Random(80 + genus)
+    words = [
+        tuple(
+            (rng.randrange(1, 2 * genus + 2), rng.choice((1, -1))) for _ in range(n)
+        )
+        for n in (1, 2, 40, 64, 65, 150, 299, 300)
+    ]
+    words.append(((1, 1), (2, -1)) * 150)
+    largest = 0
+    for letters in words:
+        m = homology.chain_word_matrix(genus, letters)
+        assert m == _dense_product(genus, letters)
+        top = max(abs(x) for row in m.entries for x in row)
+        assert top <= 3 ** len(letters)
+        largest = max(largest, top)
+        for cut in (0, 1, len(letters) // 2, len(letters)):
+            a, b = letters[:cut], letters[cut:]
+            assert homology.chain_word_times(
+                genus, a, homology.chain_word_matrix(genus, b)
+            ) == m
+    assert largest > 2**64
+
+
+def test_packed_columns_hold_the_fastest_growing_words():
+    """A beam search for the largest |entry| (about 2^(0.68 L) after L
+    letters) meets the row-update product at every length."""
+    for genus in (2, 3):
+        ident = SymplecticMatrix.identity(2 * genus)
+        letters = [(k, s) for k in range(1, 2 * genus + 2) for s in (1, -1)]
+        beam = [((), ident)]
+        for _length in range(60):
+            grown = {
+                (letter,) + w: homology.chain_word_times(genus, (letter,), m)
+                for (w, m) in beam
+                for letter in letters
+            }
+            beam = sorted(
+                grown.items(), key=lambda wm: -max(map(abs, itertools.chain(*wm[1].entries)))
+            )[:4]
+            for (w, m) in beam:
+                assert homology.chain_word_matrix(genus, w) == m
+        assert max(map(abs, itertools.chain(*beam[0][1].entries))) > 2**40
+
+
+@pytest.mark.parametrize("letter", [(6, 1), (1, 0), (0, -1), (7, -1)])
+def test_letters_outside_the_genus_raise_unknown_curve(letter):
+    ident = SymplecticMatrix.identity(4)
+    with pytest.raises(UnknownCurveError):
+        homology.chain_word_times(2, ((1, 1), letter, (2, -1)), ident)
+    with pytest.raises(UnknownCurveError):
+        homology.chain_word_matrix(2, ((1, 1), letter, (2, -1)))
 
 
 def test_homology_matrix_is_cached_per_word():

@@ -222,6 +222,32 @@ def test_cached_levels_match_cold_builds_in_any_order():
             assert warm.representatives == cold[n].representatives
 
 
+def test_levels_keep_states_only_where_extend_reads_them():
+    """Only the deepest two levels keep their states; a deeper convolution
+    and a ball read after the others are dropped match cold builds."""
+    mu = walk.make_step_distribution(GS)
+    cold = _cold_convolution(mu, 4)
+    walk._level_chain.cache_clear()
+    cold_ball = list(curve_graph.enumerate_ball.__wrapped__(GS, 3).items())
+    walk._level_chain.cache_clear()
+    walk.exact_convolution(mu, 2)
+    chain = walk._level_chain(mu)
+
+    def kept():
+        return [
+            [entry.state is not None for entry in level.values()]
+            for level in chain.levels
+        ]
+
+    assert [set(level) for level in kept()] == [{False}, {True}, {True}]
+    warm = walk.exact_convolution(mu, 4)
+    assert [set(level) for level in kept()] == [{False}] * 3 + [{True}] * 2
+    assert warm.masses == cold.masses
+    assert warm.representatives == cold.representatives
+    ball = curve_graph.enumerate_ball.__wrapped__(GS, 3)
+    assert list(ball.items()) == cold_ball
+
+
 @pytest.mark.parametrize("budget", [50, 500])
 def test_budget_guard_is_the_same_on_a_warm_cache(budget):
     # the checks that trip read the sizes of levels 1 (10 elements) and
