@@ -250,10 +250,8 @@ def growth_certificate(
         raise ValueError("need at least four iterations")
     if w.genus != c.genus:
         raise ValueError("genus mismatch")
-    if not c.transportable or c.cover_type != "pair":
-        raise IntersectionUnsupportedError(
-            "growth curve must be a transportable pair curve"
-        )
+    if not c.transportable:
+        raise IntersectionUnsupportedError("growth curve must be transportable")
     system = get_system(w.genus)
     (letters, k) = c.transport
     program = system.compile_word(w.letters, w.factors)

@@ -3,16 +3,13 @@
 Curves are stored by the normal coordinates of their image in the
 quotient sphere of the hyperelliptic double cover (the branched double
 cover presentation of the closed surface; the chain twists cover half
-twists of branch punctures).  Two kinds of curve occur:
-
-* "pair" curves — nonseparating curves invariant under the covering
-  involution; their quotient is an arc between two branch punctures and
-  we store the boundary curve of the arc's neighbourhood.  Intersection
-  numbers upstairs are half the downstairs ones, and intersections with
-  chain curves are single coordinate lookups.
-* "double" curves — symmetric separating curves; these cover their
-  quotient curve two-to-one, so intersections with pair curves equal
-  the downstairs count against the quotient curve.
+twists of branch punctures).  Every curve is a "pair" curve: a
+nonseparating curve invariant under the covering involution, whose
+quotient is an arc between two branch punctures; we store the boundary
+curve of the arc's neighbourhood.  Intersection numbers upstairs are
+half the downstairs ones, so an intersection with a chain curve is a
+single coordinate lookup, and any other intersection is one after
+transporting an operand back to its chain curve.
 
 A word acts trivially on every pair curve of the reference
 triangulation's edges iff it is trivial downstairs, i.e. iff the
@@ -27,14 +24,14 @@ from functools import cached_property
 from typing import ClassVar, Optional, Sequence
 
 from . import homology
-from .engine.system import TwistSystem, get_system
+from .engine.system import get_system
 from .engine.triangulation import FlipProgram
 from .errors import (
     IntersectionUnsupportedError,
     UnknownCurveError,
     UnsupportedSurfaceError,
 )
-from .surface import CurveId, Surface, _require_full_support
+from .surface import Surface, _require_full_support
 
 Letter = tuple[int, int]
 
@@ -131,7 +128,6 @@ class CurveCoordinates:
 
     genus: int
     vector: tuple[int, ...]
-    cover_type: str = "pair"  # "pair" | "double"
     transport: Optional[tuple[tuple[Letter, ...], int]] = None  # (word, chain index)
 
     def __post_init__(self):
@@ -163,42 +159,6 @@ def chain_curves(s: Surface) -> list[CurveCoordinates]:
     return [chain_curve(s, k) for k in range(1, 2 * s.genus + 2)]
 
 
-def _separating_vector(genus: int, j: int) -> tuple[int, ...]:
-    """Quotient coordinates of s_j: the curve around branch punctures j-1..j+1."""
-    system = get_system(genus)
-    base = system.base
-    enclosed = {j - 1, j, j + 1}
-    vec = [0] * base.n_edges
-    for d in range(2 * base.n_edges):
-        if base.start[d] in enclosed:
-            e = d >> 1
-            u, v = base.endpoints(e)
-            if not (u in enclosed and v in enclosed):
-                vec[e] += 1
-    assert base.is_admissible(vec)
-    return tuple(vec)
-
-
-def separating_curve(s: Surface, j: int) -> CurveCoordinates:
-    """The curated separating curve s_j = boundary of N(c_j ∪ c_{j+1})."""
-    _require_full_support(s)
-    if not 1 <= j <= 2 * s.genus:
-        raise UnknownCurveError(f"s_{j} out of range for genus {s.genus}")
-    return CurveCoordinates(
-        genus=s.genus,
-        vector=_separating_vector(s.genus, j),
-        cover_type="double",
-    )
-
-
-def curve_for_id(s: Surface, cid: CurveId) -> CurveCoordinates:
-    if cid.family == "chain":
-        return chain_curve(s, cid.index)
-    if cid.family == "separating":
-        return separating_curve(s, cid.index)
-    raise UnknownCurveError(f"unknown curve family {cid.family!r}")
-
-
 def twist_action(w: MappingClassWord, c: CurveCoordinates) -> CurveCoordinates:
     """Coordinates of w(c), exact, convention ab(x) = a(b(x))."""
     if w.genus != c.genus:
@@ -218,67 +178,33 @@ def twist_action(w: MappingClassWord, c: CurveCoordinates) -> CurveCoordinates:
     return image
 
 
-def _reference_intersection(
-    system: TwistSystem, k: int, other_vector: tuple[int, ...], other_type: str
-) -> int:
-    """i(c_k, other) upstairs from downstairs coordinates."""
-    w = system.chain_intersection(other_vector, k)
-    # pair curves meet c_k in half the downstairs number (= the edge
-    # coordinate); double curves meet it in the full downstairs number.
-    return w if other_type == "pair" else 2 * w
-
-def _transport_cost(c: CurveCoordinates) -> int:
-    return len(c.transport[0]) if c.transport is not None else -1
-
-
 def intersection(a: CurveCoordinates, b: CurveCoordinates) -> int:
-    """Exact geometric intersection number via transport to a reference."""
+    """Exact geometric intersection number via transport to a reference.
+
+    The transported operand t(c_k) is moved back to c_k, and the other
+    is read there: i(c_k, x) is x's coordinate over c_k.
+    """
     if a.genus != b.genus:
         raise ValueError("genus mismatch")
-    if a.vector == b.vector and a.cover_type == b.cover_type:
+    if a.vector == b.vector:
         return 0
-    system = get_system(a.genus)
-    candidates = [c for c in (a, b) if c.transport is not None and c.cover_type == "pair"]
+    candidates = [c for c in (a, b) if c.transport is not None]
     if not candidates:
-        return _untransportable_intersection(a, b)
-    src = min(candidates, key=_transport_cost)
+        raise IntersectionUnsupportedError(
+            "neither operand is transportable to a reference curve"
+        )
+    src = min(candidates, key=lambda c: len(c.transport[0]))
     other = b if src is a else a
     (letters, k) = src.transport
     inv = tuple((i, -s) for (i, s) in reversed(letters))
-    moved = system.apply_word(inv, other.vector)
-    return _reference_intersection(system, k, moved, other.cover_type)
-
-
-def _untransportable_intersection(a: CurveCoordinates, b: CurveCoordinates) -> int:
-    """Curated fallback: the separating reference curves' pairwise table.
-
-    The quotient of s_j is the curve around the branch-puncture triple
-    {j-1, j, j+1}.  Two such triples sharing at least one puncture give
-    linked curves meeting twice downstairs, hence four times upstairs;
-    disjoint triples give disjoint curves.  (Coincidences such as the
-    genus-2 waist, where a triple equals the complement of another, are
-    caught earlier by coordinate equality.)
-    """
-    genus = a.genus
-    if a.cover_type == b.cover_type == "double":
-        tags = []
-        for c in (a, b):
-            for j in range(1, 2 * genus + 1):
-                if c.vector == _separating_vector(genus, j):
-                    tags.append(j)
-                    break
-        if len(tags) == 2:
-            i, j = tags
-            return 4 if abs(i - j) <= 2 else 0
-    raise IntersectionUnsupportedError(
-        "neither operand is transportable to a reference curve"
-    )
+    system = get_system(a.genus)
+    return system.chain_intersection(system.apply_word(inv, other.vector), k)
 
 
 def is_same_curve(a: CurveCoordinates, b: CurveCoordinates) -> bool:
     if a.genus != b.genus:
         raise ValueError("genus mismatch")
-    return a.vector == b.vector and a.cover_type == b.cover_type
+    return a.vector == b.vector
 
 
 def alexander_identity_test(w: MappingClassWord) -> bool:

@@ -302,10 +302,6 @@ class FlipProgram:
         self._form = kernel.prepare(self.steps, self.perm)
         self._gathers = None
 
-    @staticmethod
-    def identity(size: int) -> "FlipProgram":
-        return FlipProgram(size, (), range(size))
-
     @property
     def n_flips(self) -> int:
         return len(self.steps) // 5

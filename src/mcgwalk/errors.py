@@ -8,7 +8,7 @@ class UnsupportedSurfaceError(ValueError):
 
 
 class UnknownCurveError(KeyError):
-    """A curve id does not appear in the curated tables."""
+    """A chain index lies outside 1 .. 2g + 1 for the genus."""
 
 
 class IntersectionUnsupportedError(ValueError):

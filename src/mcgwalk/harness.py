@@ -130,6 +130,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             "the walk fixes the curve around them and no sample can be pseudo-Anosov; "
             f"genus {cfg.genus} needs pair_budget >= {2 * cfg.genus - 1}"
         )
+    if cfg.generators == "torelli" and cfg.pair_budget > 2 * cfg.genus:
+        raise ConfigError(
+            f"torelli generators stop at s_{2 * cfg.genus}: genus {cfg.genus} "
+            f"allows pair_budget <= {2 * cfg.genus}, got {cfg.pair_budget}"
+        )
 
 
 def _canonical_value(value) -> str:

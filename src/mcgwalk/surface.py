@@ -34,21 +34,8 @@ class Surface:
 
 
 @dataclass(frozen=True)
-class CurveId:
-    """Index into the curated curve families of a surface.
-
-    Families: "chain" (c_1 .. c_{2g+1}) and "separating" (boundaries of
-    neighbourhoods of neighbouring chain pairs, s_1 .. s_{2g}).
-    """
-
-    family: str
-    index: int
-
-
-@dataclass(frozen=True)
 class GeneratorRecord:
     label: str
-    curve: CurveId
     word: tuple[tuple[int, int], ...]  # realization as signed chain letters
 
 
@@ -77,22 +64,14 @@ def humphries_generators(s: Surface) -> GeneratorSet:
     works on the quotient sphere, so it represents exactly that group.
     This is the ``humphries`` generator choice of the harness.
     """
-    _require_full_support(s)
-    records = tuple(
-        GeneratorRecord(label=f"c{k}", curve=CurveId("chain", k), word=((k, 1),))
-        for k in range(1, 2 * s.genus + 2)
-    )
-    return GeneratorSet(s, records, _intersection_table(s, records))
-
-
-def _intersection_table(
-    s: Surface, records: tuple[GeneratorRecord, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Pairwise geometric intersection numbers of the records' curves."""
     from . import curves  # deferred: curves imports engine machinery
 
-    refs = [curves.curve_for_id(s, r.curve) for r in records]
-    return tuple(tuple(curves.intersection(a, b) for b in refs) for a in refs)
+    records = tuple(
+        GeneratorRecord(label=f"c{k}", word=((k, 1),)) for k in range(1, 2 * s.genus + 2)
+    )
+    chain = curves.chain_curves(s)
+    table = tuple(tuple(curves.intersection(a, b) for b in chain) for a in chain)
+    return GeneratorSet(s, records, table)
 
 
 def separating_word(s: Surface, j: int) -> tuple[tuple[int, int], ...]:
@@ -122,18 +101,22 @@ def torelli_generators(s: Surface, pair_budget: int) -> GeneratorSet:
     generator is homology-trivial by exact matrix check.
     """
     _require_full_support(s)
-    if pair_budget < 1:
-        raise ValueError("pair_budget must be at least 1")
-    family = [
-        (f"t{j}", CurveId("separating", j), separating_word(s, j))
-        for j in range(1, 2 * s.genus + 1)
-    ][:pair_budget]
+    m = 2 * s.genus
+    if not 1 <= pair_budget <= m:
+        raise ValueError(f"pair_budget must be between 1 and {m} at genus {s.genus}")
     records = []
-    for (label, cid, word) in family:
-        matrix = homology.chain_word_matrix(s.genus, word)
-        if not matrix.is_identity():
-            raise AssertionError(f"curated Torelli word {label} is not homology-trivial")
-        records.append(GeneratorRecord(label, cid, word))
-    records = tuple(records)
-    return GeneratorSet(s, records, _intersection_table(s, records))
-
+    for j in range(1, pair_budget + 1):
+        word = separating_word(s, j)
+        if not homology.chain_word_matrix(s.genus, word).is_identity():
+            raise AssertionError(f"curated Torelli word t{j} is not homology-trivial")
+        records.append(GeneratorRecord(f"t{j}", word))
+    # s_j's quotient is the curve around branch punctures j-1..j+1.  Two
+    # triples that share a puncture (|i - j| <= 2) give linked curves,
+    # meeting twice downstairs and four times upstairs.  Disjoint triples
+    # give disjoint curves, or the same curve: the genus-2 waist s_1 = s_4,
+    # whose triples are complements.
+    table = tuple(
+        tuple(4 if i != j and abs(i - j) <= 2 else 0 for j in range(pair_budget))
+        for i in range(pair_budget)
+    )
+    return GeneratorSet(s, tuple(records), table)

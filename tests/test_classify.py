@@ -17,6 +17,7 @@ from mcgwalk.classify import (
 )
 from mcgwalk.curves import MappingClassWord, twist_word
 from mcgwalk.engine.system import TwistSystem, get_system
+from mcgwalk.errors import IntersectionUnsupportedError
 from mcgwalk.surface import Surface, torelli_generators
 
 S2 = Surface(2, 0)
@@ -197,6 +198,10 @@ def test_growth_certificate_input_validation():
     c1 = curves.chain_curves(S2)[0]
     with pytest.raises(ValueError):
         classify.growth_certificate(_word(((1, 1),)), c1, iterations=2)
+    # the growth sequence is read through the curve's transport
+    bare = curves.CurveCoordinates(2, c1.vector)
+    with pytest.raises(IntersectionUnsupportedError):
+        classify.growth_certificate(_word(((1, 1), (2, -1))), bare)
 
 
 def test_classifier_on_known_examples():

@@ -15,7 +15,8 @@ from mcgwalk.errors import (
     UnknownCurveError,
     UnsupportedSurfaceError,
 )
-from mcgwalk.surface import CurveId, Surface, torelli_generators
+from mcgwalk.engine.system import get_system
+from mcgwalk.surface import Surface, separating_word, torelli_generators
 
 S2 = Surface(2, 0)
 
@@ -26,6 +27,21 @@ CHAIN_GOLDENS = (
     (0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 1),
     (0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1),
 )
+
+
+def _triple_vector(genus: int, j: int) -> tuple[int, ...]:
+    """Quotient coordinates of s_j: the curve around branch punctures j-1..j+1."""
+    base = get_system(genus).base
+    enclosed = {j - 1, j, j + 1}
+    vec = [0] * base.n_edges
+    for d in range(2 * base.n_edges):
+        if base.start[d] in enclosed:
+            e = d >> 1
+            u, v = base.endpoints(e)
+            if not (u in enclosed and v in enclosed):
+                vec[e] += 1
+    assert base.is_admissible(vec)
+    return tuple(vec)
 
 
 def _random_word(rng: random.Random, length: int) -> MappingClassWord:
@@ -55,7 +71,7 @@ def test_twist_action_images_pass_the_constructor_check():
     chain = curves.chain_curves(S2)
     for _trial in range(40):
         image = curves.twist_action(_random_word(rng, rng.randrange(1, 30)), rng.choice(chain))
-        rebuilt = curves.CurveCoordinates(2, image.vector, image.cover_type, image.transport)
+        rebuilt = curves.CurveCoordinates(2, image.vector, image.transport)
         assert rebuilt == image and hash(rebuilt) == hash(image)
 
 
@@ -132,40 +148,28 @@ def test_intersection_is_symmetric_and_isotopy_invariant():
         ) == ab
 
 
-def test_separating_curve_table():
-    s1 = curves.separating_curve(S2, 1)
-    s2 = curves.separating_curve(S2, 2)
-    s3 = curves.separating_curve(S2, 3)
-    s4 = curves.separating_curve(S2, 4)
-    # the genus-2 waist: the boundary of the first handle equals the
-    # boundary of the second
-    assert curves.is_same_curve(s1, s4)
-    assert curves.intersection(s1, s4) == 0
-    for (a, b) in ((s1, s2), (s2, s3), (s3, s4), (s1, s3), (s2, s4)):
-        assert curves.intersection(a, b) == 4
-    chain = curves.chain_curves(S2)
-    assert [curves.intersection(s1, c) for c in chain] == [0, 0, 2, 0, 0]
-    assert [curves.intersection(s2, c) for c in chain] == [2, 0, 0, 2, 0]
-
-
 def test_separating_twist_fixes_its_curve():
-    s1 = curves.separating_curve(S2, 1)
-    word = MappingClassWord.make(2, ((1, 1), (2, 1)) * 6)
-    assert curves.twist_action(word, s1).vector == s1.vector
+    for genus in (2, 3, 4):
+        s = Surface(genus, 0)
+        triples = [_triple_vector(genus, j) for j in range(1, 2 * genus + 1)]
+        for j, vec in enumerate(triples, start=1):
+            word = MappingClassWord.make(genus, separating_word(s, j))
+            image = curves.twist_action(word, curves.CurveCoordinates(genus, vec))
+            assert image.vector == vec
+        # the only coincidence is the genus-2 waist s_1 = s_4: the triples
+        # {0, 1, 2} and {3, 4, 5} are complements on the six-punctured sphere
+        same = {(i, j) for j in range(len(triples)) for i in range(j) if triples[i] == triples[j]}
+        assert same == ({(0, 3)} if genus == 2 else set())
 
 
 def test_untransportable_intersection_raises():
-    s1 = curves.separating_curve(S2, 1)
-    moved = curves.twist_action(MappingClassWord.make(2, ((3, 1),)), s1)
+    a = curves.CurveCoordinates(2, CHAIN_GOLDENS[0])
+    b = curves.CurveCoordinates(2, CHAIN_GOLDENS[2])
+    assert a.transport is None and b.transport is None
     with pytest.raises(IntersectionUnsupportedError):
-        curves.intersection(moved, s1)
-
-
-def test_curve_for_id_families():
-    assert curves.curve_for_id(S2, CurveId("chain", 2)).vector == CHAIN_GOLDENS[1]
-    assert curves.curve_for_id(S2, CurveId("separating", 1)).cover_type == "double"
-    with pytest.raises(KeyError):
-        curves.curve_for_id(S2, CurveId("unknown", 1))
+        curves.intersection(a, b)
+    # one transportable operand suffices
+    assert curves.intersection(a, curves.chain_curves(S2)[1]) == 1
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -173,7 +177,7 @@ def test_chain_curve_ids_are_checked_and_built_alone(genus, monkeypatch):
     s = Surface(genus, 0)
     for index in (-1, 0, 2 * genus + 2):
         with pytest.raises(UnknownCurveError):
-            curves.curve_for_id(s, CurveId("chain", index))
+            curves.chain_curve(s, index)
     chain = curves.chain_curves(s)
     built = []
     check = curves.CurveCoordinates.__post_init__
@@ -185,7 +189,7 @@ def test_chain_curve_ids_are_checked_and_built_alone(genus, monkeypatch):
     monkeypatch.setattr(curves.CurveCoordinates, "__post_init__", counting)
     for k in range(1, 2 * genus + 2):
         built.clear()
-        c = curves.curve_for_id(s, CurveId("chain", k))
+        c = curves.chain_curve(s, k)
         assert c == chain[k - 1] and c.transport == ((), k)
         assert built == [c]
 

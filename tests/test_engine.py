@@ -32,6 +32,10 @@ from mcgwalk.surface import Surface, separating_word, torelli_generators
 from mcgwalk.walk import make_step_distribution, sample_path
 
 
+def _identity_program(size: int) -> FlipProgram:
+    return FlipProgram(size, (), range(size))
+
+
 def _random_admissible(tri, rng, scale=6):
     """Rejection-sample an admissible vector on the triangulation."""
     while True:
@@ -99,7 +103,7 @@ def test_flip_preserves_admissibility():
 def test_rotation_program_has_order_n():
     for n in (6, 8):
         prog = rotation_program(n)
-        power = FlipProgram.identity(prog.size)
+        power = _identity_program(prog.size)
         for _k in range(n):
             power = power.then(prog)
         tri = necklace_triangulation(n)
@@ -288,7 +292,7 @@ def test_compiled_and_python_kernels_agree():
 
 def _replay_cases(genus, rng):
     system = get_system(genus)
-    programs = [FlipProgram.identity(system.n_edges)]
+    programs = [_identity_program(system.n_edges)]
     programs += [system.compile_word(_random_word(rng, genus, rng.randrange(1, 60))) for _ in range(20)]
     wide = [tuple(x << 70 for x in v) for v in system.edge_battery[:3]]
     return (programs, system.edge_battery + tuple(wide))
@@ -322,7 +326,7 @@ def test_prepared_form_on_small_sizes(size):
 
 
 def test_flip_program_identity_roundtrip():
-    prog = FlipProgram.identity(12)
+    prog = _identity_program(12)
     assert prog.apply(list(range(12))) == tuple(range(12))
 
 
@@ -533,7 +537,7 @@ def test_compile_word_equals_the_then_fold(genus):
     words += [_random_word(rng, genus, rng.randrange(1, 60)) for _ in range(30)]
     for word in words:
         # the quadratic reference: fold the letter programs with then
-        ref = FlipProgram.identity(system.n_edges)
+        ref = _identity_program(system.n_edges)
         for (k, s) in reversed(word):
             ref = ref.then(system.program(k, s))
         (steps, perm) = system.concatenate(word)

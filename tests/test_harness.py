@@ -174,7 +174,10 @@ def test_cli_exit_code_one_step_outside_each_declared_bound(
 
 @pytest.mark.parametrize(
     "genus,pair_budget,code",
-    [(3, None, 2), (3, 5, 0), (2, 2, 2), (2, 3, 0)],
+    [
+        (3, None, 2), (3, 5, 0), (2, 2, 2), (2, 3, 0),
+        (2, 4, 0), (3, 6, 0), (2, 5, 2), (3, 7, 2),
+    ],
 )
 def test_torelli_walk_needs_pair_budget_2g_minus_1(
     tmp_path: Path, capsys, genus, pair_budget, code
@@ -185,12 +188,12 @@ def test_torelli_walk_needs_pair_budget_2g_minus_1(
     sections = {"surface": {"genus": str(genus)}, "walk": walk_keys}
     path = _write_config(tmp_path / "run.cfg", sections)
     assert main(["torelli_pa_fraction", "--config", path, "--out", str(tmp_path)]) == code
-    if code == 2:
-        budget = 4 if pair_budget is None else pair_budget
-        assert (
-            f"leave branch punctures {budget + 2}..{2 * genus + 1}"
-            in capsys.readouterr().err
-        )
+    err = capsys.readouterr().err
+    budget = 4 if pair_budget is None else pair_budget
+    if code == 2 and budget > 2 * genus:
+        assert f"allows pair_budget <= {2 * genus}, got {budget}" in err
+    elif code == 2:
+        assert f"leave branch punctures {budget + 2}..{2 * genus + 1}" in err
 
 
 def test_cli_exit_code_for_config_errors(tmp_path: Path, capsys):

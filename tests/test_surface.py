@@ -50,20 +50,49 @@ def test_torelli_generators_act_trivially_on_homology():
         assert matrix.is_identity()
 
 
-def test_torelli_intersection_matrix_golden():
-    gs = torelli_generators(make_surface(2, 0), pair_budget=4)
+TORELLI_GOLDENS = {
     # s1 and s4 are the same separating curve (the genus-2 waist), so
     # the corners vanish; every other pair meets in four points.
-    assert gs.intersection_matrix == (
+    2: (
         (0, 4, 4, 0),
         (4, 0, 4, 4),
         (4, 4, 0, 4),
         (0, 4, 4, 0),
-    )
+    ),
+    3: (
+        (0, 4, 4, 0, 0, 0),
+        (4, 0, 4, 4, 0, 0),
+        (4, 4, 0, 4, 4, 0),
+        (0, 4, 4, 0, 4, 4),
+        (0, 0, 4, 4, 0, 4),
+        (0, 0, 0, 4, 4, 0),
+    ),
+    4: (
+        (0, 4, 4, 0, 0, 0, 0, 0),
+        (4, 0, 4, 4, 0, 0, 0, 0),
+        (4, 4, 0, 4, 4, 0, 0, 0),
+        (0, 4, 4, 0, 4, 4, 0, 0),
+        (0, 0, 4, 4, 0, 4, 4, 0),
+        (0, 0, 0, 4, 4, 0, 4, 4),
+        (0, 0, 0, 0, 4, 4, 0, 4),
+        (0, 0, 0, 0, 0, 4, 4, 0),
+    ),
+}
+
+
+def test_torelli_intersection_matrix_golden():
+    for genus, golden in TORELLI_GOLDENS.items():
+        s = make_surface(genus, 0)
+        assert torelli_generators(s, pair_budget=2 * genus).intersection_matrix == golden
+        # a smaller budget gives the leading block
+        for budget in range(1, 2 * genus):
+            block = tuple(row[:budget] for row in golden[:budget])
+            assert torelli_generators(s, budget).intersection_matrix == block
 
 
 def test_torelli_pair_budget_truncates():
     gs = torelli_generators(make_surface(2, 0), pair_budget=1)
     assert _labels(gs) == ("t1",)
-    with pytest.raises(ValueError):
-        torelli_generators(make_surface(2, 0), pair_budget=0)
+    for genus, budget in ((2, 0), (2, 5), (3, 7)):
+        with pytest.raises(ValueError):
+            torelli_generators(make_surface(genus, 0), pair_budget=budget)
