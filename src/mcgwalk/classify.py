@@ -37,7 +37,6 @@ class Reducible:
 @dataclass(frozen=True)
 class PseudoAnosov:
     source: str  # "homology" | "growth" | "penner_form"
-    dilatation_estimate: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def find_invariant_multicurve(
     program = None
     for cand in cands:
         if program is None:
-            program = system.compile_word(w.letters, w.factors)
+            program = system.compile_word(w.letters)
         vectors = {cand.vector: 0}
         vec = cand.vector
         closed = False
@@ -254,7 +253,7 @@ def growth_certificate(
         raise IntersectionUnsupportedError("growth curve must be transportable")
     system = get_system(w.genus)
     (letters, k) = c.transport
-    program = system.compile_word(w.letters, w.factors)
+    program = system.compile_word(w.letters)
     back = system.compile_word(MappingClassWord(w.genus, letters).inverse().letters)
     seq = []
     vec = c.vector
@@ -315,5 +314,5 @@ def classify(w: MappingClassWord, budgets: Budgets = Budgets()) -> Verdict:
         stabilization=budgets.stabilization,
     )
     if report.verdict:
-        return PseudoAnosov("growth", dilatation_estimate=report.stabilized_ratio)
+        return PseudoAnosov("growth")
     return Unknown()

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import homology
 from .engine.system import get_system
-from .engine.triangulation import FlipProgram
 from .errors import (
     IntersectionUnsupportedError,
     UnknownCurveError,
@@ -38,19 +37,10 @@ Letter = tuple[int, int]
 
 @dataclass(frozen=True)
 class MappingClassWord:
-    """A freely reduced word in the signed chain twists.
-
-    ``factors`` is empty, or, for a word that ``factored`` built, the
-    compiled programs of words whose product is ``letters`` with no
-    letter cancelling between them (a walk location's step atoms); the
-    engine then compiles the word from them (``TwistSystem.compile_word``).
-    It is not a field: equality and hashing ignore it, and every other
-    construction leaves the class default.
-    """
+    """A freely reduced word in the signed chain twists."""
 
     genus: int
     letters: tuple[Letter, ...]
-    factors: ClassVar[tuple[FlipProgram, ...]] = ()
 
     @staticmethod
     def make(genus: int, letters: Sequence[Letter]) -> "MappingClassWord":
@@ -66,15 +56,6 @@ class MappingClassWord:
             else:
                 reduced.append((k, sign))
         return MappingClassWord(genus, tuple(reduced))
-
-    @staticmethod
-    def factored(
-        genus: int, letters: tuple[Letter, ...], factors: tuple[FlipProgram, ...]
-    ) -> "MappingClassWord":
-        """The reduced word ``letters`` carrying ``factors`` (see the class)."""
-        w = MappingClassWord(genus, letters)
-        object.__setattr__(w, "factors", factors)
-        return w
 
     @property
     def length(self) -> int:
@@ -214,10 +195,7 @@ def alexander_identity_test(w: MappingClassWord) -> bool:
     covering involution; the homology matrix distinguishes the two (the
     involution acts as -identity).
     """
-    system = get_system(w.genus)
-    if not system.fixes_battery(w.letters, w.factors):
-        return False
-    return w.homology_matrix.is_identity()
+    return get_system(w.genus).fixes_battery(w.letters) and w.homology_matrix.is_identity()
 
 
 @dataclass(frozen=True)

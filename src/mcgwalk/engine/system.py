@@ -28,10 +28,10 @@ derives once (``FlipProgram.gathers``), and ``cancel_flips`` deletes
 every pair of steps that undo each other, which the concatenation
 leaves in numbers (a genus-2 separating twist (sigma_j sigma_{j+1})^6
 keeps 14 or 26 of its 36 or 48 flips).  A word given with its
-factors, already compiled words such as a walk's step atoms, joins
-their cancelled steps instead of its letters'.  The word's program
-prepares its kernel form when it is compiled, and the last sixteen
-words stay cached with it, keyed by their letters.
+factors (the step atoms of a walk location, given only when the walk
+samples it) joins their cancelled steps instead of its letters'.  The
+word's program prepares its kernel form when it is compiled, and the
+last sixteen words stay cached with it, keyed by their letters.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Sequence
 
+from ..errors import UnknownCurveError
 from .build import chain_programs, edge_battery
 from .triangulation import FlipProgram, invert_perm, necklace_triangulation
 
@@ -146,7 +147,10 @@ class TwistSystem:
     # -- actions -------------------------------------------------------
 
     def program(self, index: int, sign: int) -> FlipProgram:
-        return self.programs[index, 1 if sign > 0 else -1]
+        prog = self.programs.get((index, sign))
+        if prog is None:
+            raise UnknownCurveError(f"no chain letter {(index, sign)} in genus {self.genus}")
+        return prog
 
     def apply_word(self, letters: Sequence[Letter], vec: Sequence[int]) -> tuple[int, ...]:
         """Act by the word s_1 s_2 ... s_m under the convention ab(x) = a(b(x)):
@@ -162,10 +166,11 @@ class TwistSystem:
 
         ``factors``, when given, are the programs of words whose product,
         in order, is ``letters`` with no letter cancelling between them,
-        each already compiled (the step atoms of a walk).  A program not
-        in the cache is then built by one join of theirs and one cancel
-        pass over it, not from the letters; nearly every inverse pair of
-        a long word lies inside an atom, so far fewer steps are joined.
+        each already compiled: a walk location's step atoms, which only
+        ``walk.sample_path`` passes.  A program not in the cache is then
+        built by one join of theirs and one cancel pass over it, not from
+        the letters; nearly every inverse pair of a long word lies inside
+        an atom, so far fewer steps are joined.
         That program replays exactly as the letters' one does; its steps
         are the same for the Torelli atoms, but can differ where
         cancellations inside a factor and across factors overlap.
@@ -181,8 +186,8 @@ class TwistSystem:
     def concatenate(self, letters: Sequence[Letter]) -> tuple[list[int], list[int]]:
         """The flat steps and relabelling of the letters' programs joined
         end to end, before cancellation (``join``)."""
-        programs = self.programs
-        return self.join(programs[k, s] for (k, s) in reversed(letters))
+        program = self.program
+        return self.join(program(k, s) for (k, s) in reversed(letters))
 
     def join(self, programs: Iterable[FlipProgram]) -> tuple[list[int], list[int]]:
         """The flat steps and relabelling of ``programs`` run one after
@@ -212,15 +217,8 @@ class TwistSystem:
         """i(curve, c_index) upstairs: the coordinate over the necklace arc."""
         return vec[index - 1]
 
-    def fixes_battery(
-        self, letters: Sequence[Letter], factors: Sequence[FlipProgram] = ()
-    ) -> bool:
-        """True iff the word acts trivially downstairs (full edge battery).
-
-        The word is compiled first, from ``factors`` when given (see
-        ``compile_word``), so the replays below find it in the cache."""
-        if factors:
-            self.compile_word(letters, factors)
+    def fixes_battery(self, letters: Sequence[Letter]) -> bool:
+        """True iff the word acts trivially downstairs (full edge battery)."""
         return all(self.apply_word(letters, v) == v for v in self.edge_battery)
 
 

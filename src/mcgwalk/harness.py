@@ -189,6 +189,8 @@ def load_config_file(path: str, experiment: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"unknown config key [DEFAULT] {next(iter(parser.defaults()))}")
     table = {
         (f.metadata["section"], _config_key(f)): f
         for f in _FIELDS.values()

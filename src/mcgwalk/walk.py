@@ -158,10 +158,10 @@ def sample_path(mu: StepDistribution, n: int, seed) -> WalkSample:
 
     When the atoms are single letters, w_n is reduced on one letter
     stack.  When some are longer (the Torelli atoms), it is reduced on a
-    stack of atoms, an atom cancelling its inverse on top, and w_n
-    carries the atoms' programs as its ``factors``, so that the engine
-    compiles it from them; if a letter cancels between two kept atoms,
-    w_n is reduced from their letters and carries none.
+    stack of atoms, an atom cancelling its inverse on top, and compiled
+    from the kept atoms' programs; later stages find that program by its
+    letters.  If a letter cancels between two kept atoms, w_n is reduced
+    from their letters.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -200,9 +200,10 @@ def _product_of_atoms(mu: StepDistribution, atoms: tuple, steps: list[int]) -> M
         else:
             stack.append(index)
     letters = tuple(chain.from_iterable(mu.support[i].letters for i in stack))
-    if any(tails[i] == heads[j] for (i, j) in zip(stack, stack[1:])):
+    if not stack or any(tails[i] == heads[j] for (i, j) in zip(stack, stack[1:])):
         return MappingClassWord.make(mu.genus, letters)
-    return MappingClassWord.factored(mu.genus, letters, tuple(map(programs.__getitem__, stack)))
+    get_system(mu.genus).compile_word(letters, [programs[i] for i in stack])
+    return MappingClassWord(mu.genus, letters)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from mcgwalk.curves import MappingClassWord, twist_word
 from mcgwalk.engine.system import TwistSystem, get_system
 from mcgwalk.errors import IntersectionUnsupportedError
 from mcgwalk.surface import Surface, torelli_generators
+from test_walk import count_compilation, kept_atoms
 
 S2 = Surface(2, 0)
 
@@ -412,44 +414,59 @@ def test_classify_builds_no_generator_set(monkeypatch):
 
 
 def test_factored_words_get_the_verdicts_of_their_letters():
-    # a mixed batch: Humphries and Torelli walks at genus 2 and 3; the
-    # Torelli locations carry their step atoms, their copies do not
-    batch = []
+    # a mixed batch: Humphries and Torelli walks at genus 2 and 3; each
+    # location is classified as sampled (a Torelli one on its program
+    # joined from the step atoms) and again after the program cache is
+    # cleared, so that the engine rebuilds it from the letters
+    verdicts = []
     for genus in (2, 3):
         s = Surface(genus, 0)
         for gs in (surface.humphries_generators(s), torelli_generators(s, 2 * genus)):
             mu = walk.make_step_distribution(gs)
             for index in range(6):
-                batch.append(walk.sample_path(mu, 3 + 4 * index, walk.sample_seed(8, index)).final)
-    assert sum(bool(w.factors) for w in batch) >= 10
-    plain = [MappingClassWord(w.genus, w.letters) for w in batch]
-    verdicts = [run_classify(w) for w in batch]
-    assert verdicts == [run_classify(w) for w in plain]
+                w = walk.sample_path(mu, 3 + 4 * index, walk.sample_seed(8, index)).final
+                verdict = run_classify(w)
+                get_system(genus)._compiled.cache_clear()
+                assert run_classify(MappingClassWord(genus, w.letters)) == verdict
+                verdicts.append(verdict)
     assert {type(v) for v in verdicts} >= {PseudoAnosov, Reducible}
 
 
-def test_a_factored_word_is_compiled_once_from_its_factors(monkeypatch):
+def test_a_walk_location_is_compiled_once_at_sampling(monkeypatch):
     mu = walk.make_step_distribution(torelli_generators(S2, 4))
-    w = walk.sample_path(mu, 30, "compiled once").final
-    assert w.factors
-    (joins, concatenated) = ([], [])
-    (join, concatenate) = (TwistSystem.join, TwistSystem.concatenate)
+    humphries = walk.make_step_distribution(surface.humphries_generators(S2))
+    (a, b) = (_word(((1, 1), (2, 1))), _word(((2, -1), (3, 1))))
+    crossing = walk.StepDistribution((a, a.inverse(), b, b.inverse()), (Fraction(1, 4),) * 4)
+    # compile the atoms, and the growth curve's empty transport, before counting
+    programs = mu._atoms[3]
+    crossing._atoms
+    get_system(2)._compiled.cache_clear()
+    get_system(2).compile_word(())
+    (joins, concatenated) = count_compilation(monkeypatch)
 
-    def counting_join(self, programs):
-        programs = list(programs)
-        joins.append(programs)
-        return join(self, programs)
-
-    def counting_concatenate(self, letters):
-        concatenated.append(tuple(letters))
-        return concatenate(self, letters)
-
-    monkeypatch.setattr(TwistSystem, "join", counting_join)
-    monkeypatch.setattr(TwistSystem, "concatenate", counting_concatenate)
-    assert isinstance(run_classify(w), PseudoAnosov)
-    factors = list(reversed(w.factors))
-    assert [p for p in joins if p == factors] == [factors]
-    assert w.letters not in concatenated
+    path = walk.sample_path(mu, 30, "compiled once at sampling")
+    kept = kept_atoms(mu, path.steps)
+    assert len(kept) > 1
+    # sampling joins the kept atoms' programs, the first to act first
+    assert joins == [[programs[i] for i in reversed(kept)]] and not concatenated
+    # the classifier then finds that program by the location's letters
+    assert isinstance(run_classify(path.final), PseudoAnosov)
+    assert len(joins) == 1 and not concatenated
+    # single-letter atoms: sampling compiles nothing
+    assert walk.sample_path(humphries, 30, "compiled once at sampling").final.letters
+    assert len(joins) == 1 and not concatenated
+    # a letter cancelling between two kept atoms: sampling compiles nothing
+    kinds = Counter()
+    for index in range(40):
+        get_system(2)._compiled.cache_clear()
+        before = len(joins)
+        path = walk.sample_path(crossing, 12, walk.sample_seed(5, index))
+        kept = kept_atoms(crossing, path.steps)
+        joined = sum((crossing.support[i].letters for i in kept), ())
+        compiled = bool(kept) and joined == path.final.letters
+        assert len(joins) - before == compiled
+        kinds[compiled] += 1
+    assert kinds[True] and kinds[False] and not concatenated
 
 
 def test_torelli_periodic_screen_is_one_battery_pass(monkeypatch):

@@ -28,8 +28,10 @@ from mcgwalk.engine.triangulation import (
     necklace_triangulation,
     outer_edge,
 )
+from mcgwalk.errors import UnknownCurveError
 from mcgwalk.surface import Surface, separating_word, torelli_generators
 from mcgwalk.walk import make_step_distribution, sample_path
+from test_walk import count_compilation
 
 
 def _identity_program(size: int) -> FlipProgram:
@@ -714,35 +716,56 @@ def test_torelli_walk_word_runs_the_cancelled_flips():
     assert system.compile_word(word).n_flips == 428
 
 
-def test_torelli_walk_word_runs_the_cancelled_flips_from_its_factors():
+def test_torelli_walk_word_runs_the_cancelled_flips_from_its_factors(monkeypatch):
     mu = make_step_distribution(torelli_generators(Surface(2, 0), 4))
+    mu._atoms  # compile the atoms first
+    system = get_system(2)
+    system._compiled.cache_clear()
+    (joins, concatenated) = count_compilation(monkeypatch)
     w = sample_path(mu, 40, 1).final
-    system = TwistSystem(2)
-    joined = system.join(reversed(w.factors))
-    assert len(w.factors) == 24 and len(joined[0]) // 5 < 972
-    assert system.compile_word(w.letters, w.factors).n_flips == 428
+    # one join of the 24 kept atoms, with fewer flips than the letters' 972
+    assert [len(programs) for programs in joins] == [24]
+    assert sum(p.n_flips for p in joins[0]) < 972
+    assert system.compile_word(w.letters).n_flips == 428
+    assert len(joins) == 1 and not concatenated
 
 
 @pytest.mark.parametrize(("genus", "pair_budget"), [(2, 4), (3, 5), (3, 6), (4, 8)])
 def test_factor_built_programs_equal_the_letter_built_ones(genus, pair_budget, monkeypatch):
-    # a fresh system per setting, so that no program comes from the cache
+    # the walk compiles each location from its atoms into the shared
+    # system; a fresh system builds the same word from its letters
     mu = make_step_distribution(torelli_generators(Surface(genus, 0), pair_budget))
-    system = TwistSystem(genus)
-    words = [
-        sample_path(mu, n, f"{genus}/{pair_budget}/{n}/{i}").final
-        for n in range(1, 41)
-        for i in range(6)
-    ]
-    expected = {}
-    for w in words:
-        (steps, perm) = system.concatenate(w.letters)
-        expected[w] = FlipProgram(system.n_edges, cancel_flips(steps), perm)
+    mu._atoms  # compile the atoms first
+    system = get_system(genus)
+    system._compiled.cache_clear()
+    reference = TwistSystem(genus)
 
     def no_letters(*args):
-        raise AssertionError("a factored word compiled from its letters")
+        raise AssertionError("a walk location compiled from its letters")
 
     monkeypatch.setattr(system, "concatenate", no_letters)
-    for w in words:
-        if w.letters:  # the empty word has no factors
-            assert w.factors
-            assert system.compile_word(w.letters, w.factors) == expected[w]
+    for n in range(1, 41):
+        for i in range(6):
+            w = sample_path(mu, n, f"{genus}/{pair_budget}/{n}/{i}").final
+            if w.letters:  # the empty word has no atoms
+                (steps, perm) = reference.concatenate(w.letters)
+                expected = FlipProgram(system.n_edges, cancel_flips(steps), perm)
+                assert system.compile_word(w.letters) == expected
+
+
+def test_bad_letters_raise_unknown_curve_error():
+    system = TwistSystem(2)
+    vec = system.edge_battery[0]
+    for letters in (((6, 1),), ((0, -1),), ((1, 2),), ((1, 0),), ((1, 1), (6, -1))):
+        with pytest.raises(UnknownCurveError, match=r"no chain letter .* in genus 2"):
+            system.compile_word(letters)
+        with pytest.raises(UnknownCurveError, match=r"no chain letter .* in genus 2"):
+            system.apply_word(letters, vec)
+    for (k, sign) in ((6, 1), (0, 1), (1, 2), (1, 0), (1, -2)):
+        with pytest.raises(UnknownCurveError, match=rf"\({k}, {sign}\) in genus 2"):
+            system.program(k, sign)
+    # still a KeyError, and good letters still compile
+    with pytest.raises(KeyError):
+        system.compile_word(((6, 1),))
+    assert system.program(5, -1) is system.programs[5, -1]
+    assert system.compile_word(((5, 1), (5, -1))).n_flips == 0

@@ -128,6 +128,22 @@ def test_load_config_file_rejects_unknown_keys(tmp_path: Path):
         load_config_file(str(tmp_path / "missing.cfg"), "pa_fraction")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\ngenus = 3\n", "[DEFAULT]\ngenus = 3\n[walk]\nsamples = 2\n"],
+    ids=["alone", "beside_walk"],
+)
+def test_default_section_keys_are_rejected(tmp_path: Path, text, capsys):
+    # configparser hands [DEFAULT] keys to every section and lists no
+    # [DEFAULT] section, so they used to be dropped or blamed on [walk]
+    path = tmp_path / "default.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\] genus"):
+        load_config_file(str(path), "pa_fraction")
+    assert main(["pa_fraction", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+
+
 def _write_config(path: Path, sections: dict) -> str:
     path.write_text(
         "".join(

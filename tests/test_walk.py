@@ -102,25 +102,55 @@ def _product_of_steps(mu, steps):
     ))
 
 
-def test_step_atoms_factor_only_the_multi_letter_walks():
-    # Humphries atoms are single letters: no factors
+def kept_atoms(mu, steps) -> list[int]:
+    """The step atoms left after cancelling each atom against its inverse."""
+    stack: list[int] = []
+    for index in steps:
+        if stack and stack[-1] == mu._inverses[index]:
+            stack.pop()
+        else:
+            stack.append(index)
+    return stack
+
+
+def count_compilation(monkeypatch) -> tuple[list, list]:
+    """Record the programs of every ``TwistSystem.join`` call and the
+    letters of every ``concatenate`` call from now on."""
+    (joins, concatenated) = ([], [])
+    (join, concatenate) = (TwistSystem.join, TwistSystem.concatenate)
+
+    def counting_join(self, programs):
+        programs = list(programs)
+        joins.append(programs)
+        return join(self, programs)
+
+    def counting_concatenate(self, letters):
+        concatenated.append(tuple(letters))
+        return concatenate(self, letters)
+
+    monkeypatch.setattr(TwistSystem, "join", counting_join)
+    monkeypatch.setattr(TwistSystem, "concatenate", counting_concatenate)
+    return (joins, concatenated)
+
+
+def test_step_atoms_factor_only_the_multi_letter_walks(monkeypatch):
+    torelli = walk.make_step_distribution(torelli_generators(S2, 4))
+    programs = torelli._atoms[3]
+    get_system(2)._compiled.cache_clear()
+    (joins, concatenated) = count_compilation(monkeypatch)
+    # Humphries atoms are single letters: sampling compiles nothing
     mu = walk.make_step_distribution(GS)
     for index in range(20):
         path = walk.sample_path(mu, 40, walk.sample_seed(2, index))
-        assert path.final.factors == ()
         assert path.final == _product_of_steps(mu, path.steps)
-    # Torelli atoms: one factor per kept atom, each an atom's program
-    mu = walk.make_step_distribution(torelli_generators(S2, 4))
-    system = get_system(2)
-    programs = [system.compile_word(w.letters) for w in mu.support]
-    factored = 0
+    assert joins == []
+    # Torelli atoms: one join of the kept atoms' programs per location
     for index in range(20):
-        path = walk.sample_path(mu, 40, walk.sample_seed(2, index))
-        w = path.final
-        assert w == _product_of_steps(mu, path.steps)
-        assert all(f in programs for f in w.factors)
-        factored += bool(w.factors)
-    assert factored == 20
+        path = walk.sample_path(torelli, 40, walk.sample_seed(2, index))
+        assert path.final == _product_of_steps(torelli, path.steps)
+        assert len(joins) == index + 1
+        assert joins[-1] == [programs[i] for i in reversed(kept_atoms(torelli, path.steps))]
+    assert concatenated == []
 
 
 def test_a_letter_cancelling_between_atoms_drops_the_factors():
@@ -128,17 +158,19 @@ def test_a_letter_cancelling_between_atoms_drops_the_factors():
     a = MappingClassWord.make(2, ((1, 1), (2, 1)))
     b = MappingClassWord.make(2, ((2, -1), (3, 1)))
     mu = walk.StepDistribution((a, a.inverse(), b, b.inverse()), (Fraction(1, 4),) * 4)
+    (system, reference) = (get_system(2), TwistSystem(2))
     kinds = Counter()
     for index in range(200):
         path = walk.sample_path(mu, 12, walk.sample_seed(4, index))
-        assert path.final == _product_of_steps(mu, path.steps)
-        if path.final.factors:
-            # no letter cancels between the kept atoms: their product is w
-            battery = get_system(2).edge_battery
-            reference = TwistSystem(2).compile_word(path.final.letters)
-            joined = TwistSystem(2).compile_word(path.final.letters, path.final.factors)
-            assert joined.apply_all(battery) == reference.apply_all(battery)
-        kinds[bool(path.final.factors)] += 1
+        w = path.final
+        assert w == _product_of_steps(mu, path.steps)
+        # joined from the atoms at sampling or built from the letters now,
+        # the program replays as the fresh system's letter-built one
+        assert system.compile_word(w.letters).apply_all(system.edge_battery) == (
+            reference.compile_word(w.letters).apply_all(system.edge_battery)
+        )
+        kept = sum((mu.support[i].letters for i in kept_atoms(mu, path.steps)), ())
+        kinds[kept == w.letters] += 1
     assert kinds[True] and kinds[False]
 
 
