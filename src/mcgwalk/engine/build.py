@@ -20,8 +20,14 @@ The programs the engine runs flip the edges that ``chain_flips`` lists,
 checks the result against the oracle on the whole edge battery; equal
 battery images mean the same mapping class downstairs.  The check is
 what makes the closure sound, since a swap closes flips of sigma_k^-1
-as readily as those of sigma_k.  Nothing at build time searches, and no
-list is trusted unchecked.
+as readily as those of sigma_k.
+
+The separating twists t_j = (sigma_j sigma_{j+1})^6 of the Torelli walks
+get short programs the same way: ``separating_flips`` lists 10 or 15
+flips, closed by the identity puncture map, and ``separating_program``
+keeps a program only if it equals that of t_j's letters on the edge
+battery.  Nothing at build time searches, and no list is trusted
+unchecked.
 """
 
 from __future__ import annotations
@@ -213,3 +219,56 @@ def chain_programs(n: int) -> list[FlipProgram]:
             raise RuntimeError(f"flips {edges} do not realise sigma_{k}")
         programs.append(prog)
     return programs
+
+
+# -- separating twists ---------------------------------------------------
+
+
+def separating_flips(n: int, j: int) -> tuple[int, ...]:
+    """Flipped edge ids of the short program of the separating twist
+    t_j = (sigma_j sigma_{j+1})^6, 1 <= j <= n - 3, and of t_4 at n = 6.
+
+    With E, D and O as in ``chain_flips``: t_1 and t_{n-3} flip 10 edges
+    and every t_j between them 15; each list ends on the necklace
+    triangulation, closed by the identity puncture map.  At genus 2 the
+    curves s_4 and s_1 agree, so t_4 flips t_1's list; above genus 2,
+    t_{n-2} is a rotation conjugate (``separating_program``).
+    """
+    E = lambda i: necklace_edge(i, n)
+    D = lambda k: inner_edge(k, n)
+    O = lambda k: outer_edge(k, n)
+    if j == 1 or (n, j) == (6, 4):
+        return (E(2), E(n - 1), D(1), O(2), O(1), D(2), O(2), D(1), E(n - 1), E(2))
+    if not 1 < j <= n - 3:
+        raise ValueError(f"no separating flip list t_{j} for {n} punctures")
+    (head, tail) = ((E(j - 2), E(j + 1)), (E(j + 1), E(j - 2)))
+    if j == n - 3:
+        return head + (D(j), D(j - 1), O(j), O(j - 1), D(j - 1), D(j)) + tail
+    return (
+        head
+        + (D(j), D(j - 1), D(j + 1), O(j), O(j + 1), O(j - 1))
+        + (D(j - 1), O(j), D(j + 1), O(j + 1), D(j))
+        + tail
+    )
+
+
+def separating_program(n: int, j: int, reference: FlipProgram) -> FlipProgram:
+    """The short program of t_j, 1 <= j <= n - 2: it flips
+    ``separating_flips(n, j)``, closed by the identity puncture map, or,
+    for t_{n-2} above genus 2, it is rho, then t_{n-3}, then rho^-1 (4n - 2
+    flips), rho the ``rotation_program``.
+
+    ``reference`` is the program of t_j's letters.  The short program is
+    kept only if it equals ``reference`` on the whole edge battery;
+    RuntimeError otherwise, or if the flips do not close.
+    """
+    if j == n - 2 and n > 6:
+        inner = _program_from_path(n, separating_flips(n, j - 1), range(n))
+        rho = rotation_program(n)
+        prog = None if inner is None else rho.then(inner).then(rho.inverse())
+    else:
+        prog = _program_from_path(n, separating_flips(n, j), range(n))
+    battery = edge_battery(n)
+    if prog is None or prog.apply_all(battery) != reference.apply_all(battery):
+        raise RuntimeError(f"the short program does not realise t_{j}")
+    return prog

@@ -26,22 +26,26 @@ kernel replay of its cancelled steps: the letters' steps are
 concatenated, each relabelled by C-level gathers that its program
 derives once (``FlipProgram.gathers``), and ``cancel_flips`` deletes
 every pair of steps that undo each other, which the concatenation
-leaves in numbers (a genus-2 separating twist (sigma_j sigma_{j+1})^6
-keeps 14 or 26 of its 36 or 48 flips).  A word given with its
-factors (the step atoms of a walk location, given only when the walk
-samples it) joins their cancelled steps instead of its letters'.  The
-word's program prepares its kernel form when it is compiled, and the
-last sixteen words stay cached with it, keyed by their letters.
+leaves in numbers.  A separating twist t_j = (sigma_j sigma_{j+1})^6
+or its inverse runs a short program instead, 10 or 15 flips
+(``build.separating_program``; 8g + 6 for t_{2g} above genus 2) where
+its cancelled letters keep 14 or 26 (24g - 22 for t_{2g}); it is
+built and checked on its first compile, so only the walks whose atoms
+are such twists build any.  A word given with its factors (the step
+atoms of a walk location, given only when the walk samples it) joins
+their programs instead of its letters'.  The word's program prepares
+its kernel form when it is compiled, and the last sixteen words stay
+cached with it, keyed by their letters.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..errors import UnknownCurveError
-from .build import chain_programs, edge_battery
+from .build import chain_programs, edge_battery, separating_program
 from .triangulation import FlipProgram, invert_perm, necklace_triangulation
 
 Letter = tuple[int, int]  # (generator index, sign); index is 1-based
@@ -132,6 +136,7 @@ class TwistSystem:
             self.programs[k, -1] = prog.inverse()
         self._compiled = lru_cache(maxsize=_WORD_CACHE)(self._flatten)
         self._factors: Sequence[FlipProgram] = ()  # of the compile_word call running
+        self._separating: dict[int, FlipProgram] = {}  # t_j's short program by j
 
         # chain curve k lives over the necklace arc E_{k-1}, whose pair
         # curve has edge id k-1 as its coordinate slot for intersections
@@ -171,9 +176,8 @@ class TwistSystem:
         built by one join of theirs and one cancel pass over it, not from
         the letters; nearly every inverse pair of a long word lies inside
         an atom, so far fewer steps are joined.
-        That program replays exactly as the letters' one does; its steps
-        are the same for the Torelli atoms, but can differ where
-        cancellations inside a factor and across factors overlap.
+        That program replays exactly as the letters' one does, by other
+        steps when the factors are separating twists' short programs.
         """
         if not factors:
             return self._compiled(tuple(letters))
@@ -204,12 +208,34 @@ class TwistSystem:
 
     def _flatten(self, letters: tuple[Letter, ...]) -> FlipProgram:
         """A cache miss of ``compile_word``: from the factors passed to
-        that call, else from the letters."""
+        that call, else a separating twist's short program, else from the
+        letters."""
         if self._factors:
             (steps, perm) = self.join(reversed(self._factors))
         else:
+            prog = self._separating_program(letters)
+            if prog is not None:
+                return prog
             (steps, perm) = self.concatenate(letters)
         return FlipProgram(self.n_edges, cancel_flips(steps), perm)
+
+    def _separating_program(self, letters: tuple[Letter, ...]) -> Optional[FlipProgram]:
+        """The short program of t_j = (sigma_j sigma_{j+1})^6 if ``letters``
+        spell t_j or its inverse, else None; t_j's is built and checked
+        against its letters' program (``build.separating_program``) on
+        first request."""
+        if len(letters) != 12 or letters[:2] * 6 != letters:
+            return None
+        ((a, s), (b, t)) = letters[:2]
+        if s != t or b - a != s or (a, s) not in self.programs or (b, s) not in self.programs:
+            return None
+        j = min(a, b)
+        prog = self._separating.get(j)
+        if prog is None:
+            (steps, perm) = self.concatenate(((j, 1), (j + 1, 1)) * 6)
+            reference = FlipProgram(self.n_edges, cancel_flips(steps), perm)
+            prog = self._separating[j] = separating_program(self.n, j, reference)
+        return prog if s == 1 else prog.inverse()
 
     # -- exact queries -------------------------------------------------
 

@@ -614,21 +614,22 @@ def _transience_task(args) -> dict:
     n_max = max(cfg.lengths)
     seed = f"{cfg.seed}/path/{index}"
     path = walk.sample_path(mu, n_max, seed)
-    noncert = []
-    digests = []
-    for k in range(1, n_max + 1):
+
+    def verdict(k: int) -> tuple[bool, str]:
         w = path.location(k)
-        verdict = classify.classify(w, budgets)
-        pa = isinstance(verdict, classify.PseudoAnosov)
-        digests.append(_key_digest(curves.canonical_key(w)))
-        if not pa:
-            noncert.append(k)
+        pa = isinstance(classify.classify(w, budgets), classify.PseudoAnosov)
+        return (pa, _key_digest(curves.canonical_key(w)))
+
+    # the final location first, while the program that sampling compiled
+    # for it is still in the engine's cache; its prefixes would evict it
+    final = verdict(n_max)
+    rows = [verdict(k) for k in range(1, n_max)] + [final]
     return {
         "index": index,
         "seed": seed,
         "steps": list(path.steps),
-        "noncert_steps": noncert,
-        "digests": digests,
+        "noncert_steps": [k for (k, (pa, _d)) in enumerate(rows, start=1) if not pa],
+        "digests": [digest for (_pa, digest) in rows],
     }
 
 

@@ -89,6 +89,9 @@ class StepDistribution:
         Per atom: the index of its inverse atom (-1 if none), the inverse
         of its first letter, its last letter, and its compiled program;
         the programs are built once, here, where no cache evicts them.
+        A Torelli atom, a separating twist or its inverse, compiles to the
+        engine's short program of that twist, which the locations joined
+        from the atoms then run.
         """
         words = self.support
         if max(w.length for w in words) <= 1 or any(

@@ -439,6 +439,8 @@ def test_a_walk_location_is_compiled_once_at_sampling(monkeypatch):
     crossing = walk.StepDistribution((a, a.inverse(), b, b.inverse()), (Fraction(1, 4),) * 4)
     # compile the atoms, and the growth curve's empty transport, before counting
     programs = mu._atoms[3]
+    # the separating twists' short programs (14 or 26 flips from their letters)
+    assert [p.n_flips for p in programs] == [10, 10, 15, 15, 10, 10, 10, 10]
     crossing._atoms
     get_system(2)._compiled.cache_clear()
     get_system(2).compile_word(())

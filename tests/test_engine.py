@@ -30,7 +30,7 @@ from mcgwalk.engine.triangulation import (
 )
 from mcgwalk.errors import UnknownCurveError
 from mcgwalk.surface import Surface, separating_word, torelli_generators
-from mcgwalk.walk import make_step_distribution, sample_path
+from mcgwalk.walk import _product_of_atoms, make_step_distribution, sample_path
 from test_walk import count_compilation
 
 
@@ -686,23 +686,100 @@ def test_compile_word_cancels_a_subsequence_of_the_concatenation(genus):
         assert prog.n_flips <= len(steps) // 5
 
 
+def _big_admissible(system, rng, count=6):
+    """Admissible vectors with entries of 60 bits and more: nonnegative
+    combinations of the edge battery, since admissibility (the triangle
+    inequalities and even sums) is kept under sums."""
+    battery = system.edge_battery
+    return [
+        tuple(
+            sum(rng.randrange(2**60, 2**61) * v[e] for v in battery)
+            for e in range(system.n_edges)
+        )
+        for _ in range(count)
+    ]
+
+
+def _same_class(system, prog, reference, rng) -> bool:
+    """Equal images on the edge battery and on big admissible vectors."""
+    vectors = (*system.edge_battery, *_big_admissible(system, rng))
+    return prog.apply_all(vectors) == reference.apply_all(vectors)
+
+
+def _letters_program(system, letters) -> FlipProgram:
+    """The program of ``letters`` joined and cancelled from the letters."""
+    (steps, perm) = system.concatenate(letters)
+    return FlipProgram(system.n_edges, cancel_flips(steps), perm)
+
+
 @pytest.mark.parametrize(
     ("genus", "flips"),
     [
-        (2, (14, 26, 14, 26)),
-        (3, (14, 26, 26, 26, 14, 50)),
-        (4, (14, 26, 26, 26, 26, 26, 14, 74)),
+        (2, (10, 15, 10, 10)),
+        (3, (10, 15, 15, 15, 10, 30)),
+        (4, (10, 15, 15, 15, 15, 15, 10, 38)),
     ],
 )
 def test_separating_twists_run_the_cancelled_flips(genus, flips):
     system = get_system(genus)
     words = [separating_word(Surface(genus, 0), j) for j in range(1, 2 * genus + 1)]
-    # concatenated, (sigma_j sigma_{j+1})^6 runs 36 or 48 flips, 24g for j = 2g
+    # each twist runs its short program; its letters' cancelled program
+    # runs 14 or 26 flips, 24g - 22 for j = 2g
     assert tuple(system.compile_word(w).n_flips for w in words) == flips
     for w in words:
         (steps, perm) = system.concatenate(w)
         for vec in system.edge_battery:
             assert system.apply_word(w, vec) == kernel_py.replay(vec, steps, perm)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+def test_separating_programs_equal_their_letters_programs(genus):
+    system = get_system(genus)
+    n = system.n
+    rng = random.Random(70 + genus)
+    for j in range(1, 2 * genus + 1):
+        word = separating_word(Surface(genus, 0), j)
+        inverse = tuple((k, -s) for (k, s) in reversed(word))
+        for letters in (word, inverse):
+            prog = system.compile_word(letters)
+            assert _same_class(system, prog, _letters_program(system, letters), rng)
+        if j < n - 2 or genus == 2:
+            assert prog.n_flips == len(build.separating_flips(n, j))
+        else:
+            assert prog.n_flips == 4 * n - 2
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+def test_a_wrong_separating_list_raises(genus, monkeypatch):
+    n = 2 * genus + 2
+    right = build.separating_flips
+    inverse_list = lambda j: tuple(_program_from_path(n, right(n, j), range(n)).inverse().steps[::5])
+    # another twist's list (s_2 is none of the other curves), and the inverse's
+    wrongs = (lambda j: right(n, 3 if j == 2 else 2), inverse_list)
+    for wrong in wrongs:
+        monkeypatch.setattr(build, "separating_flips", lambda n, j: wrong(j))
+        system = TwistSystem(genus)
+        for j in range(1, 2 * genus + 1):
+            with pytest.raises(RuntimeError, match=f"does not realise t_{j}"):
+                system.compile_word(separating_word(Surface(genus, 0), j))
+        assert not system._separating
+
+
+def test_genus_2_waist_twists_share_one_program():
+    # s_1 = s_4 at genus 2, so t_1 t_4^-1 is trivial: its joined atoms cancel
+    system = get_system(2)
+    (t1, t4) = (separating_word(Surface(2, 0), j) for j in (1, 4))
+    assert system.compile_word(t1) == system.compile_word(t4)
+    mu = make_step_distribution(torelli_generators(Surface(2, 0), 4))
+    assert mu.support[0].letters == t1
+    assert mu.support[7].letters == tuple((k, -s) for (k, s) in reversed(t4))
+    system._compiled.cache_clear()
+    w = _product_of_atoms(mu, mu._atoms, [0, 7])
+    prog = system.compile_word(w.letters)
+    assert len(w.letters) == 24
+    assert prog.n_flips == 0 and list(prog.perm) == list(range(system.n_edges))
+    # from the letters, the same class runs 40 flips
+    assert _letters_program(system, w.letters).n_flips == 40
 
 
 def test_torelli_walk_word_runs_the_cancelled_flips():
@@ -713,7 +790,9 @@ def test_torelli_walk_word_runs_the_cancelled_flips():
     system = get_system(2)
     assert len(word) == 288
     assert len(system.concatenate(word)[0]) // 5 == 972
-    assert system.compile_word(word).n_flips == 428
+    assert _letters_program(system, word).n_flips == 428
+    # sampling compiled it from the atoms' short programs
+    assert system.compile_word(word).n_flips == 206
 
 
 def test_torelli_walk_word_runs_the_cancelled_flips_from_its_factors(monkeypatch):
@@ -723,34 +802,39 @@ def test_torelli_walk_word_runs_the_cancelled_flips_from_its_factors(monkeypatch
     system._compiled.cache_clear()
     (joins, concatenated) = count_compilation(monkeypatch)
     w = sample_path(mu, 40, 1).final
-    # one join of the 24 kept atoms, with fewer flips than the letters' 972
+    # one join of the 24 kept atoms' short programs, 10 or 15 flips each
     assert [len(programs) for programs in joins] == [24]
-    assert sum(p.n_flips for p in joins[0]) < 972
-    assert system.compile_word(w.letters).n_flips == 428
+    assert {p.n_flips for p in joins[0]} <= {10, 15}
+    assert system.compile_word(w.letters).n_flips == 206
     assert len(joins) == 1 and not concatenated
 
 
 @pytest.mark.parametrize(("genus", "pair_budget"), [(2, 4), (3, 5), (3, 6), (4, 8)])
 def test_factor_built_programs_equal_the_letter_built_ones(genus, pair_budget, monkeypatch):
-    # the walk compiles each location from its atoms into the shared
-    # system; a fresh system builds the same word from its letters
+    # the walk compiles each location from its atoms' short programs into
+    # the shared system; a fresh system builds the same word from its
+    # letters, with other steps but the same images and no fewer flips
     mu = make_step_distribution(torelli_generators(Surface(genus, 0), pair_budget))
     mu._atoms  # compile the atoms first
     system = get_system(genus)
     system._compiled.cache_clear()
     reference = TwistSystem(genus)
+    rng = random.Random(genus * 10 + pair_budget)
 
     def no_letters(*args):
         raise AssertionError("a walk location compiled from its letters")
 
-    monkeypatch.setattr(system, "concatenate", no_letters)
+    # an instance entry that undo deletes; setattr would restore the bound
+    # method as an instance attribute, hiding later class-level patches
+    monkeypatch.setitem(vars(system), "concatenate", no_letters)
     for n in range(1, 41):
         for i in range(6):
             w = sample_path(mu, n, f"{genus}/{pair_budget}/{n}/{i}").final
             if w.letters:  # the empty word has no atoms
-                (steps, perm) = reference.concatenate(w.letters)
-                expected = FlipProgram(system.n_edges, cancel_flips(steps), perm)
-                assert system.compile_word(w.letters) == expected
+                expected = _letters_program(reference, w.letters)
+                prog = system.compile_word(w.letters)
+                assert prog.n_flips <= expected.n_flips
+                assert _same_class(system, prog, expected, rng)
 
 
 def test_bad_letters_raise_unknown_curve_error():

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from mcgwalk import curve_graph, harness, walk
+from mcgwalk import curve_graph, curves, harness, walk
 from mcgwalk.curve_graph import FiniteElementSet
 from mcgwalk.engine import kernel
+from mcgwalk.engine import system as engine_system
+from mcgwalk.engine.system import TwistSystem, get_system
 from mcgwalk.errors import ConfigError
+from mcgwalk.surface import Surface, separating_word
 from mcgwalk.harness import (
     ExperimentConfig,
     config_hash,
@@ -24,6 +27,7 @@ from mcgwalk.harness import (
     run_experiment,
     validate_config,
 )
+from test_walk import count_compilation
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -426,6 +430,53 @@ def test_exact_lemma_run_passes(tmp_path: Path):
         lhs = Fraction(r["lhs"])
         rhs = Fraction(r["rhs"])
         assert lhs <= rhs
+
+
+def test_torelli_transience_classifies_the_final_location_first(monkeypatch):
+    # sampling joins the final location's atoms; classified before its 39
+    # prefixes evict it, that program is found by its letters, which are
+    # never concatenated; the outputs stay in k order
+    cfg = _cfg(
+        experiment="transience_rk", generators="torelli", lengths=(5, 40), samples=1, seed=1
+    )
+    mu = harness._context(cfg)[2]
+    mu._atoms  # compile the atoms before counting
+    path = walk.sample_path(mu, 40, "1/path/0")
+    # no prefix spells the final word, which would compile it again
+    assert all(path.location(k).letters != path.final.letters for k in range(40))
+    get_system(2)._compiled.cache_clear()
+    (joins, concatenated) = count_compilation(monkeypatch)
+    record = harness._transience_task((cfg, 0))
+    assert path.final.letters not in concatenated
+    # one join of the atoms at sampling; every other join concatenates
+    # letters, of more words than the engine's 16-word cache holds
+    assert len(joins) == len(concatenated) + 1
+    assert len(concatenated) > 16
+    digests = [harness._key_digest(curves.canonical_key(path.location(k))) for k in range(1, 41)]
+    assert record["digests"] == digests
+
+
+def test_humphries_and_lemma_runs_build_no_separating_program(tmp_path: Path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a separating program was built")
+
+    monkeypatch.setattr(engine_system, "separating_program", refuse)
+    TwistSystem(2)
+    system = get_system(2)
+    monkeypatch.setattr(system, "_separating", {})
+    system._compiled.cache_clear()
+    walk._level_chain.cache_clear()
+    run_experiment(_cfg(out_dir=str(tmp_path), lengths=(5, 20)))
+    run_experiment(
+        _cfg(
+            experiment="exact_lemma", generators="two_twist", lengths=(2, 3),
+            samples=1, k_values=(3,), set_count=5, out_dir=str(tmp_path),
+        )
+    )
+    assert not system._separating
+    # a separating twist word would have built one
+    with pytest.raises(AssertionError, match="separating program was built"):
+        system.compile_word(separating_word(Surface(2, 0), 1))
 
 
 def _lemma_cells():
