@@ -5,16 +5,18 @@ probability.  Group elements are identified by the keys of their
 ``curves.ElementState``, so convolution masses are aggregated per
 mapping class, not per word.  A convolution level mu^(n) sums integer
 weights over D^n, D the common denominator of the step masses, and
-builds one ``Fraction`` per element when its measure is read; the step
-that leads an element back to the one it was first reached from reuses
-that element's state, with no engine call.  Convolution levels are
-cached per step distribution (a few at a time) and the chain of levels
-is extended on demand, so asking for mu^(n) again, or for a shallower
-level, does no engine or homology work; the budget check is repeated
-on cached levels, so a warm cache fails exactly where a cold build
-would.  Sampling is counter-based: the random stream for a sample is
-derived from a seed string alone, so batches reproduce exactly
-regardless of execution order or worker count.
+builds one ``Fraction`` per element when its measure is read.  Each
+element of the deepest level remembers every arrival, so every step
+back to an element it was reached from reuses that element's state,
+with no engine call: for a support closed under inverses, building
+mu^(n) costs |support| * |mu^(n-1)| engine products.  Convolution
+levels are cached per step distribution (a few at a time) and the
+chain of levels is extended on demand, so asking for mu^(n) again, or
+for a shallower level, does no engine or homology work; the budget
+check is repeated on cached levels, so a warm cache fails exactly
+where a cold build would.  Sampling is counter-based: the random
+stream for a sample is derived from a seed string alone, so batches
+reproduce exactly regardless of execution order or worker count.
 """
 
 from __future__ import annotations
@@ -238,16 +240,28 @@ class EmpiricalMeasure:
 class _LevelEntry:
     """One element of a convolution level mu^(i): its state and key, its
     first representative, and its mass times D^i as an integer weight.
-    ``parent`` is the entry of mu^(i-1) it was first reached from, and
-    ``back`` the index of the atom inverse to that step (-1 if none).
-    ``state`` is None below the chain's deepest two levels."""
+    ``links`` maps the index of each atom that leads back down to the
+    entry of mu^(i-1) that atom leads to: an arrival by step t from p
+    links t's inverse atom to p.  ``state`` is None below the chain's
+    deepest two levels, and ``links`` below its deepest level."""
 
     state: Optional[curves.ElementState]
     key: tuple
     word: MappingClassWord
     weight: int
-    parent: Optional["_LevelEntry"]
-    back: int
+    links: Optional[dict[int, "_LevelEntry"]]
+
+
+def _junction(atom: tuple[curves.Letter, ...], word: MappingClassWord) -> MappingClassWord:
+    """The product of a freely reduced atom, as letters, and a freely
+    reduced word, which cancel only where they meet."""
+    letters = word.letters
+    j = 0
+    for (k, s) in reversed(atom):
+        if j == len(letters) or letters[j] != (k, -s):
+            break
+        j += 1
+    return MappingClassWord(word.genus, atom[: len(atom) - j] + letters[j:])
 
 
 class _LevelChain:
@@ -258,48 +272,62 @@ class _LevelChain:
     that level, built on first request.  Masses are integer weights over
     D^i, D the common denominator of the step masses.  Word-metric balls
     (``curve_graph.enumerate_ball``) are read from the same levels.
-    Only the deepest two levels keep their entries' states: ``extend``
-    reads the deepest level's states and its parents' in the level above.
+    Only the deepest two levels keep their entries' states, and only the
+    deepest its links: ``extend`` reads the deepest level's states and
+    links, and the states in the level above that the links lead to.
     """
 
     def __init__(self, mu: StepDistribution):
         self.denominator = mu._cutoffs[0]
-        # per atom: its index, word, weight over D and inverse atom index
+        # per atom: its index, freely reduced letters, weight over D and
+        # inverse atom index
         self.steps = tuple(
-            (i, w, int(m * self.denominator), mu._inverses[i])
+            (
+                i,
+                MappingClassWord.make(w.genus, w.letters).letters,
+                int(m * self.denominator),
+                mu._inverses[i],
+            )
             for (i, (w, m)) in enumerate(zip(mu.support, mu.masses))
         )
         start = curves.ElementState.identity(mu.genus)
         identity = MappingClassWord.make(mu.genus, ())
         self.levels: list[dict[tuple, _LevelEntry]] = [
-            {start.key: _LevelEntry(start, start.key, identity, 1, None, -1)}
+            {start.key: _LevelEntry(start, start.key, identity, 1, {})}
         ]
         self.measures: list[Optional[EmpiricalMeasure]] = [None]
 
     def extend(self) -> None:
         """Append mu^(i+1) = mu * mu^(i) for the deepest level i.
 
-        The atom inverse to an entry's first step leads back to its
-        parent, whose state and key are reused with no engine call.
+        An atom that an entry links leads back to an entry of mu^(i-1),
+        whose state and key are reused with no engine call; every other
+        atom costs one ``left_mul``.  A new entry's representative is
+        the atom's reduced letters joined to the entry's reduced word.
         """
         next_entries: dict[tuple, _LevelEntry] = {}
         for entry in self.levels[-1].values():
-            for (index, s_word, s_weight, s_back) in self.steps:
-                if index == entry.back:
-                    parent = entry.parent
-                    (state, key) = (parent.state, parent.key)
-                else:
-                    state = entry.state.left_mul(s_word.letters)
+            (links, weight) = (entry.links, entry.weight)
+            for (index, letters, s_weight, s_back) in self.steps:
+                below = links.get(index)
+                if below is None:
+                    state = entry.state.left_mul(letters)
                     key = state.key
+                else:
+                    (state, key) = (below.state, below.key)
                 seen = next_entries.get(key)
                 if seen is None:
-                    next_entries[key] = _LevelEntry(
-                        state, key, s_word * entry.word, s_weight * entry.weight, entry, s_back
+                    seen = next_entries[key] = _LevelEntry(
+                        state, key, _junction(letters, entry.word), s_weight * weight, {}
                     )
                 else:
-                    seen.weight += s_weight * entry.weight
+                    seen.weight += s_weight * weight
+                if s_back >= 0:
+                    seen.links[s_back] = entry
         self.levels.append(next_entries)
         self.measures.append(None)
+        for entry in self.levels[-2].values():
+            entry.links = None
         if len(self.levels) > 2:
             for entry in self.levels[-3].values():
                 entry.state = None
@@ -328,8 +356,10 @@ def exact_convolution(
     Built by left extension mu^(n) = mu * mu^(n-1): the battery images
     and homology matrix of s*g follow from those of g by one generator
     application, so each element extends in constant work regardless of
-    word length.  When g was first reached as t*p and s is the atom
-    equal to t's inverse word, s*g is p, whose state and key are reused.
+    word length.  When g was reached as t*p, by any of its arrivals, and s
+    is the atom equal to t's inverse word, s*g is p, whose state and key
+    are reused; for a support closed under inverses the cold build of
+    mu^(n) then makes |support| * |mu^(n-1)| engine products.
     Masses are summed as integer weights over D^n, D the common
     denominator of the step masses, and reduced to fractions once per
     element of the returned measure.  Levels are cached per step

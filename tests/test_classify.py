@@ -138,6 +138,59 @@ def test_multicurve_search_matches_the_twist_action_orbits(monkeypatch):
     assert 0 in sizes and 1 in sizes and max(sizes) >= 2
 
 
+@pytest.mark.parametrize("genus,bound", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_candidate_fixers_are_the_twists_that_fix_the_candidate(genus, bound):
+    cands = classify._candidate_curves(genus, bound)
+    fixers = classify._candidate_fixers(genus, bound)
+    assert len(fixers) == len(cands) and all(fixers[: 2 * genus + 1])
+    for (cand, fixed_by) in zip(cands, fixers):
+        for i in range(1, 2 * genus + 2):
+            image = curves.twist_action(twist_word(genus, i), cand)
+            assert (image.vector == cand.vector) == (i in fixed_by)
+
+
+def _pa_humphries_batch_words() -> list[MappingClassWord]:
+    """The 1,600 locations the genus-2 Humphries ``pa_fraction`` runs of
+    seeds 8..15 classify, at lengths 5..80 and 40 samples each."""
+    mu = walk.make_step_distribution(surface.humphries_generators(S2))
+    return [
+        walk.sample_path(mu, n, f"{seed}/{n}/{index}").final
+        for seed in range(8, 16)
+        for n in (5, 10, 20, 40, 80)
+        for index in range(40)
+    ]
+
+
+def test_fixed_candidates_end_the_search_as_the_engine_would(monkeypatch):
+    """With every fixer set patched empty the search follows every orbit on
+    the engine; it finds the same multicurve on every word."""
+    rng = random.Random(13)
+    words = _pa_humphries_batch_words()
+    for genus in (2, 3):
+        m = 2 * genus + 1
+        for _trial in range(100):
+            length = rng.randrange(0, 12)
+            letters = [(rng.randrange(1, m + 1), rng.choice((1, -1))) for _ in range(length)]
+            words.append(MappingClassWord.make(genus, letters))
+    cases = [(w, bound) for w in words for bound in ((1, 2) if w.genus == 3 else (1,))]
+    found = [classify.find_invariant_multicurve(w, bound) for (w, bound) in cases]
+    shortcut = sum(
+        f is not None
+        and len(f) == 1
+        and {k for (k, _s) in w.letters}
+        <= classify._candidate_fixers(w.genus, bound)[
+            classify._candidate_curves(w.genus, bound).index(f[0])
+        ]
+        for ((w, bound), f) in zip(cases, found)
+    )
+    assert shortcut > 100
+    fixers = classify._candidate_fixers
+    monkeypatch.setattr(
+        classify, "_candidate_fixers", lambda *args: tuple(frozenset() for _ in fixers(*args))
+    )
+    assert [classify.find_invariant_multicurve(w, bound) for (w, bound) in cases] == found
+
+
 def test_penner_form_detection():
     assert classify.penner_form(_word(((1, 1), (2, -1), (3, 1), (4, -1), (5, 1))))
     # wrong sign on an even twist
@@ -670,7 +723,8 @@ def test_multicurve_screen_makes_no_engine_call_without_root_of_unity_eigenvalue
 
 def test_multicurve_search_runs_no_screen_when_m_is_the_identity(monkeypatch):
     """Every class passes the screen when M = I, so a Torelli word's search
-    neither builds the classes nor screens a candidate."""
+    neither builds the classes nor screens a candidate; nor does it read
+    the candidates' fixer sets."""
     gens = torelli_generators(S2, 3).generators
     words = [
         MappingClassWord.make(2, gens[0].word),
@@ -683,6 +737,7 @@ def test_multicurve_search_runs_no_screen_when_m_is_the_identity(monkeypatch):
 
     monkeypatch.setattr(classify, "_candidate_classes", no_screen)
     monkeypatch.setattr(classify, "_orbit_may_close", no_screen)
+    monkeypatch.setattr(classify, "_candidate_fixers", no_screen)
     for (w, found) in zip(words, expected):
         assert w.homology_matrix.is_identity()
         assert classify.find_invariant_multicurve(w, 1) == found

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcgwalk import curve_graph, curves, walk
 from mcgwalk.curve_graph import FiniteElementSet
@@ -317,12 +319,13 @@ def test_one_deeper_level_costs_one_level_of_work(monkeypatch):
 
     monkeypatch.setattr(FlipProgram, "apply_all", counting)
     mu = walk.make_step_distribution(_sub_generators(2))
+    m3 = walk.exact_convolution(mu, 3)
     m4 = _cold_convolution(mu, 4)
     calls[0] = 0
     walk.exact_convolution(mu, 5)
     battery = len(get_system(2).edge_battery)
-    # every level-4 element steps back to its parent with no replay
-    assert calls[0] == len(m4) * (len(mu.support) - 1) * battery
+    # each of the |S| * |L3| arrivals at level 4 is a step back with no replay
+    assert calls[0] == len(mu.support) * (len(m4) - len(m3)) * battery
     calls[0] = 0
     assert walk.exact_convolution(mu, 5) is walk.exact_convolution(mu, 5)
     walk.exact_convolution(mu, 2)
@@ -403,15 +406,110 @@ def test_convolution_matches_the_plain_fraction_extension(make_mu, n, monkeypatc
     for i in range(n + 1):
         m = _cold_convolution(mu, i)
         assert (m.masses, m.representatives) == reference[i]
-    # the last cold build extended every level below n once; an element
-    # reached by a step with an inverse atom reuses its parent once
+    # the last cold build extended every level below n once; each arrival
+    # at a level by a step with an inverse atom saves one product there,
+    # so an inverse-closed support pays |S| products per element of L(n-1)
     sizes = [len(masses) for (masses, _reps) in reference[:n]]
     calls[0] = 0
     _cold_convolution(mu, n)
     inverse_closed = -1 not in mu._inverses
     assert inverse_closed or set(mu._inverses) == {-1}
-    reused = sum(sizes[1:]) if inverse_closed else 0
-    assert calls[0] == sum(sizes) * len(mu.support) - reused
+    if inverse_closed:
+        assert calls[0] == len(mu.support) * sizes[-1]
+    else:
+        assert calls[0] == len(mu.support) * sum(sizes)
+
+
+_CHAINS = pytest.mark.parametrize(
+    "make_mu,n",
+    [
+        (lambda: walk.make_step_distribution(_sub_generators(2)), 5),
+        (lambda: walk.make_step_distribution(GS), 3),
+        (_positive_twists, 4),
+    ],
+    ids=["two-twist", "humphries", "no-inverses"],
+)
+
+
+@_CHAINS
+def test_only_the_deepest_levels_keep_states_and_links(make_mu, n):
+    """After mu^(i) is built, only levels i-1 and i keep states and only
+    level i keeps its arrival links, however deep the chain has grown."""
+    mu = make_mu()
+    walk._level_chain.cache_clear()
+    chain = walk._level_chain(mu)
+    for i in range(n + 1):
+        walk.exact_convolution(mu, i)
+        assert len(chain.levels) == i + 1
+        for (j, level) in enumerate(chain.levels):
+            assert {e.state is not None for e in level.values()} == {j >= i - 1}
+            assert {e.links is not None for e in level.values()} == {j == i}
+    # a link leads back to an entry of the level above, which keeps its state
+    deepest = chain.levels[-1].values()
+    assert all(link.state is not None for e in deepest for link in e.links.values())
+    if set(mu._inverses) == {-1}:
+        assert not any(e.links for e in deepest)
+
+
+def _letter_lists(genus: int):
+    return st.lists(
+        st.tuples(st.integers(1, 2 * genus + 1), st.sampled_from((1, -1))), max_size=8
+    )
+
+
+@given(
+    st.integers(2, 3).flatmap(
+        lambda g: st.tuples(st.just(g), _letter_lists(g), _letter_lists(g), st.integers(0, 8))
+    )
+)
+@example((2, [(1, 1), (2, -1)], [], 2))  # the word is the atom's inverse
+@example((3, [(4, 1)], [], 0))  # the empty word
+@example((2, [], [(1, 1)], 0))  # the empty atom
+@settings(max_examples=200, deadline=None)
+def test_junction_product_is_the_reduced_product(case):
+    # the word opens with the inverse of up to ``overlap`` of the atom's
+    # last letters, so cancellation, partial and full, is common
+    (genus, atom, tail, overlap) = case
+    s = MappingClassWord.make(genus, atom)
+    w = MappingClassWord.make(genus, s.inverse().letters[:overlap] + tuple(tail))
+    assert walk._junction(s.letters, w) == s * w
+
+
+@_CHAINS
+def test_every_representative_is_a_junction_product(make_mu, n):
+    """Each level's representatives are the first junction products, in
+    order, over the level above and the atoms; each equals s * word."""
+    mu = make_mu()
+    walk._level_chain.cache_clear()
+    walk.exact_convolution(mu, n)
+    chain = walk._level_chain(mu)
+    for (above, level) in zip(chain.levels, chain.levels[1:]):
+        first: dict = {}
+        for entry in above.values():
+            for s in mu.support:
+                product = walk._junction(s.letters, entry.word)
+                assert product == s * entry.word
+                first.setdefault(curves.canonical_key(product), product)
+        assert list(first.items()) == [(key, e.word) for (key, e) in level.items()]
+
+
+def test_cold_builds_make_one_product_per_atom_and_element_of_the_level_below(monkeypatch):
+    calls = [0]
+    left_mul = curves.ElementState.left_mul
+
+    def counting(self, letters):
+        calls[0] += 1
+        return left_mul(self, letters)
+
+    monkeypatch.setattr(curves.ElementState, "left_mul", counting)
+    # the lemma's two-twist mu^(5): 4 atoms times |L4| = 81
+    _cold_convolution(walk.make_step_distribution(_sub_generators(2)), 5)
+    assert calls[0] == 324
+    # the Humphries radius-4 ball: 10 atoms times |L3| = 372
+    calls[0] = 0
+    walk._level_chain.cache_clear()
+    curve_graph.enumerate_ball.__wrapped__(GS, 4)
+    assert calls[0] == 3720
 
 
 def test_convolution_representatives_have_their_keys():
