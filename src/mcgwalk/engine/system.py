@@ -29,20 +29,21 @@ every pair of steps that undo each other, which the concatenation
 leaves in numbers.  A separating twist t_j = (sigma_j sigma_{j+1})^6
 or its inverse runs a short program instead, 10 or 15 flips
 (``build.separating_program``; 8g + 6 for t_{2g} above genus 2) where
-its cancelled letters keep 14 or 26 (24g - 22 for t_{2g}); it is
-built and checked on its first compile, so only the walks whose atoms
-are such twists build any.  A word given with its factors (the step
-atoms of a walk location, given only when the walk samples it) joins
-their programs instead of its letters'.  The word's program prepares
-its kernel form when it is compiled, and the last sixteen words stay
-cached with it, keyed by their letters.
+its cancelled letters keep 14 or 26 (24g - 22 for t_{2g}): compiling a
+word, the system scans its letters once, from the left, and joins that
+program in place of each run of twelve letters that spells t_j or its
+inverse.  All 2g are built at the first such run, each kept only if it
+equals its letters' program on the whole edge battery, so the parse is
+exact, and a system that compiles no such run builds none.  The word's
+program prepares its kernel form when it is compiled, and the last
+sixteen words stay cached with it, keyed by their letters.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import UnknownCurveError
 from .build import chain_programs, edge_battery, separating_program
@@ -135,8 +136,6 @@ class TwistSystem:
             self.programs[k, 1] = prog
             self.programs[k, -1] = prog.inverse()
         self._compiled = lru_cache(maxsize=_WORD_CACHE)(self._flatten)
-        self._factors: Sequence[FlipProgram] = ()  # of the compile_word call running
-        self._separating: dict[int, FlipProgram] = {}  # t_j's short program by j
 
         # chain curve k lives over the necklace arc E_{k-1}, whose pair
         # curve has edge id k-1 as its coordinate slot for intersections
@@ -162,30 +161,11 @@ class TwistSystem:
         one replay of the word's flattened program."""
         return self._compiled(tuple(letters)).apply(vec)
 
-    def compile_word(
-        self, letters: Sequence[Letter], factors: Sequence[FlipProgram] = ()
-    ) -> FlipProgram:
+    def compile_word(self, letters: Sequence[Letter]) -> FlipProgram:
         """The whole word as one replayable program, its inverse flip pairs
         cancelled, cached per system by its letters and shared between
-        callers, which must not modify it.
-
-        ``factors``, when given, are the programs of words whose product,
-        in order, is ``letters`` with no letter cancelling between them,
-        each already compiled: a walk location's step atoms, which only
-        ``walk.sample_path`` passes.  A program not in the cache is then
-        built by one join of theirs and one cancel pass over it, not from
-        the letters; nearly every inverse pair of a long word lies inside
-        an atom, so far fewer steps are joined.
-        That program replays exactly as the letters' one does, by other
-        steps when the factors are separating twists' short programs.
-        """
-        if not factors:
-            return self._compiled(tuple(letters))
-        self._factors = factors
-        try:
-            return self._compiled(tuple(letters))
-        finally:
-            self._factors = ()
+        callers, which must not modify it."""
+        return self._compiled(tuple(letters))
 
     def concatenate(self, letters: Sequence[Letter]) -> tuple[list[int], list[int]]:
         """The flat steps and relabelling of the letters' programs joined
@@ -207,35 +187,45 @@ class TwistSystem:
         return (steps, invert_perm(inv))
 
     def _flatten(self, letters: tuple[Letter, ...]) -> FlipProgram:
-        """A cache miss of ``compile_word``: from the factors passed to
-        that call, else a separating twist's short program, else from the
-        letters."""
-        if self._factors:
-            (steps, perm) = self.join(reversed(self._factors))
-        else:
-            prog = self._separating_program(letters)
-            if prog is not None:
-                return prog
-            (steps, perm) = self.concatenate(letters)
+        """A cache miss of ``compile_word``: one join of the word's pieces
+        and one cancel pass over it.  Scanning from the left, each run of
+        twelve letters that spells a separating twist t_j or its inverse
+        is one piece, that twist's short program; every other letter is
+        its own program."""
+        (program, programs) = (self.program, self.programs)
+        pieces: list[FlipProgram] = []
+        (i, m) = (0, len(letters))
+        while i < m:
+            (k, s) = letter = letters[i]
+            if (
+                i + 12 <= m
+                and letters[i + 1] == (k + s, s)
+                and letter in programs
+                and (k + s, s) in programs
+                and letters[i : i + 12] == letters[i : i + 2] * 6
+            ):
+                pieces.append(self._separating[min(k, k + s), s])
+                i += 12
+            else:
+                pieces.append(program(k, s))
+                i += 1
+        (steps, perm) = self.join(reversed(pieces))
         return FlipProgram(self.n_edges, cancel_flips(steps), perm)
 
-    def _separating_program(self, letters: tuple[Letter, ...]) -> Optional[FlipProgram]:
-        """The short program of t_j = (sigma_j sigma_{j+1})^6 if ``letters``
-        spell t_j or its inverse, else None; t_j's is built and checked
-        against its letters' program (``build.separating_program``) on
-        first request."""
-        if len(letters) != 12 or letters[:2] * 6 != letters:
-            return None
-        ((a, s), (b, t)) = letters[:2]
-        if s != t or b - a != s or (a, s) not in self.programs or (b, s) not in self.programs:
-            return None
-        j = min(a, b)
-        prog = self._separating.get(j)
-        if prog is None:
+    @cached_property
+    def _separating(self) -> dict[Letter, FlipProgram]:
+        """The short program of each separating twist t_j (sign 1) and of
+        its inverse (sign -1), by (j, sign), all built at the first twist
+        met, since the harness's Torelli walks step by all of them or all
+        but one.  Each is checked against its letters' program
+        (``build.separating_program``)."""
+        table: dict[Letter, FlipProgram] = {}
+        for j in range(1, self.n - 1):
             (steps, perm) = self.concatenate(((j, 1), (j + 1, 1)) * 6)
             reference = FlipProgram(self.n_edges, cancel_flips(steps), perm)
-            prog = self._separating[j] = separating_program(self.n, j, reference)
-        return prog if s == 1 else prog.inverse()
+            table[j, 1] = prog = separating_program(self.n, j, reference)
+            table[j, -1] = prog.inverse()
+        return table
 
     # -- exact queries -------------------------------------------------
 

@@ -257,7 +257,9 @@ def _verdict_fields(v: classify.Verdict) -> dict:
 
 
 def _parallel_map(fn: Callable, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    # the pool forks all its workers at the first submit: no more than tasks
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here so that single-worker runs do not load the pool
     # machinery (multiprocessing) at start-up
@@ -620,10 +622,7 @@ def _transience_task(args) -> dict:
         pa = isinstance(classify.classify(w, budgets), classify.PseudoAnosov)
         return (pa, _key_digest(curves.canonical_key(w)))
 
-    # the final location first, while the program that sampling compiled
-    # for it is still in the engine's cache; its prefixes would evict it
-    final = verdict(n_max)
-    rows = [verdict(k) for k in range(1, n_max)] + [final]
+    rows = [verdict(k) for k in range(1, n_max + 1)]
     return {
         "index": index,
         "seed": seed,

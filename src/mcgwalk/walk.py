@@ -34,7 +34,6 @@ from typing import Optional
 from . import curve_graph, curves
 from .curve_graph import FiniteElementSet
 from .curves import MappingClassWord
-from .engine.system import get_system
 from .errors import BudgetExceededError
 from .surface import GeneratorSet, Surface, humphries_generators
 
@@ -89,23 +88,17 @@ class StepDistribution:
         most one letter, or some atom is empty or not freely reduced.
 
         Per atom: the index of its inverse atom (-1 if none), the inverse
-        of its first letter, its last letter, and its compiled program;
-        the programs are built once, here, where no cache evicts them.
-        A Torelli atom, a separating twist or its inverse, compiles to the
-        engine's short program of that twist, which the locations joined
-        from the atoms then run.
+        of its first letter, and its last letter.
         """
         words = self.support
         if max(w.length for w in words) <= 1 or any(
             not w.letters or MappingClassWord.make(w.genus, w.letters) != w for w in words
         ):
             return None
-        system = get_system(self.genus)
         return (
             self._inverses,
             tuple((w.letters[0][0], -w.letters[0][1]) for w in words),
             tuple(w.letters[-1] for w in words),
-            tuple(system.compile_word(w.letters) for w in words),
         )
 
 
@@ -163,10 +156,10 @@ def sample_path(mu: StepDistribution, n: int, seed) -> WalkSample:
 
     When the atoms are single letters, w_n is reduced on one letter
     stack.  When some are longer (the Torelli atoms), it is reduced on a
-    stack of atoms, an atom cancelling its inverse on top, and compiled
-    from the kept atoms' programs; later stages find that program by its
-    letters.  If a letter cancels between two kept atoms, w_n is reduced
-    from their letters.
+    stack of atoms, an atom cancelling its inverse on top, and from the
+    letters only where a letter cancels between two kept atoms.  No
+    location is compiled here: the engine finds the separating twists
+    in any word's letters when a later stage compiles it.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -197,7 +190,7 @@ def sample_path(mu: StepDistribution, n: int, seed) -> WalkSample:
 
 def _product_of_atoms(mu: StepDistribution, atoms: tuple, steps: list[int]) -> MappingClassWord:
     """The freely reduced product of the step atoms, reduced atom-wise."""
-    (inverse, heads, tails, programs) = atoms
+    (inverse, heads, tails) = atoms
     stack: list[int] = []
     for index in steps:
         if stack and stack[-1] == inverse[index]:
@@ -205,9 +198,8 @@ def _product_of_atoms(mu: StepDistribution, atoms: tuple, steps: list[int]) -> M
         else:
             stack.append(index)
     letters = tuple(chain.from_iterable(mu.support[i].letters for i in stack))
-    if not stack or any(tails[i] == heads[j] for (i, j) in zip(stack, stack[1:])):
+    if any(tails[i] == heads[j] for (i, j) in zip(stack, stack[1:])):
         return MappingClassWord.make(mu.genus, letters)
-    get_system(mu.genus).compile_word(letters, [programs[i] for i in stack])
     return MappingClassWord(mu.genus, letters)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -485,43 +484,30 @@ def test_factored_words_get_the_verdicts_of_their_letters():
     assert {type(v) for v in verdicts} >= {PseudoAnosov, Reducible}
 
 
-def test_a_walk_location_is_compiled_once_at_sampling(monkeypatch):
+def test_a_walk_location_is_compiled_once_at_its_first_classify(monkeypatch):
     mu = walk.make_step_distribution(torelli_generators(S2, 4))
-    humphries = walk.make_step_distribution(surface.humphries_generators(S2))
-    (a, b) = (_word(((1, 1), (2, 1))), _word(((2, -1), (3, 1))))
-    crossing = walk.StepDistribution((a, a.inverse(), b, b.inverse()), (Fraction(1, 4),) * 4)
-    # compile the atoms, and the growth curve's empty transport, before counting
-    programs = mu._atoms[3]
-    # the separating twists' short programs (14 or 26 flips from their letters)
+    system = get_system(2)
+    # build the separating twists' short programs (14 or 26 flips from
+    # their letters), the classifier's tables and the growth curve's
+    # empty transport before counting
+    programs = [system.compile_word(w.letters) for w in mu.support]
     assert [p.n_flips for p in programs] == [10, 10, 15, 15, 10, 10, 10, 10]
-    crossing._atoms
-    get_system(2)._compiled.cache_clear()
-    get_system(2).compile_word(())
+    run_classify(walk.sample_path(mu, 30, "tables").final)
+    system._compiled.cache_clear()
+    system.compile_word(())
     (joins, concatenated) = count_compilation(monkeypatch)
 
     path = walk.sample_path(mu, 30, "compiled once at sampling")
     kept = kept_atoms(mu, path.steps)
     assert len(kept) > 1
-    # sampling joins the kept atoms' programs, the first to act first
+    assert not joins
+    # the first classify joins the kept atoms' short programs, the first
+    # to act first, which the engine found in the location's letters
+    assert isinstance(run_classify(path.final), PseudoAnosov)
     assert joins == [[programs[i] for i in reversed(kept)]] and not concatenated
-    # the classifier then finds that program by the location's letters
+    # a second classify finds that program by the location's letters
     assert isinstance(run_classify(path.final), PseudoAnosov)
     assert len(joins) == 1 and not concatenated
-    # single-letter atoms: sampling compiles nothing
-    assert walk.sample_path(humphries, 30, "compiled once at sampling").final.letters
-    assert len(joins) == 1 and not concatenated
-    # a letter cancelling between two kept atoms: sampling compiles nothing
-    kinds = Counter()
-    for index in range(40):
-        get_system(2)._compiled.cache_clear()
-        before = len(joins)
-        path = walk.sample_path(crossing, 12, walk.sample_seed(5, index))
-        kept = kept_atoms(crossing, path.steps)
-        joined = sum((crossing.support[i].letters for i in kept), ())
-        compiled = bool(kept) and joined == path.final.letters
-        assert len(joins) - before == compiled
-        kinds[compiled] += 1
-    assert kinds[True] and kinds[False] and not concatenated
 
 
 def test_torelli_periodic_screen_is_one_battery_pass(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from mcgwalk.engine.triangulation import (
 )
 from mcgwalk.errors import UnknownCurveError
 from mcgwalk.surface import Surface, separating_word, torelli_generators
-from mcgwalk.walk import _product_of_atoms, make_step_distribution, sample_path
+from mcgwalk.walk import make_step_distribution, sample_path
 from test_walk import count_compilation
 
 
@@ -756,30 +757,30 @@ def test_a_wrong_separating_list_raises(genus, monkeypatch):
     inverse_list = lambda j: tuple(_program_from_path(n, right(n, j), range(n)).inverse().steps[::5])
     # another twist's list (s_2 is none of the other curves), and the inverse's
     wrongs = (lambda j: right(n, 3 if j == 2 else 2), inverse_list)
+    system = TwistSystem(genus)
     for wrong in wrongs:
         monkeypatch.setattr(build, "separating_flips", lambda n, j: wrong(j))
-        system = TwistSystem(genus)
         for j in range(1, 2 * genus + 1):
+            word = separating_word(Surface(genus, 0), j)
             with pytest.raises(RuntimeError, match=f"does not realise t_{j}"):
-                system.compile_word(separating_word(Surface(genus, 0), j))
-        assert not system._separating
+                build.separating_program(n, j, _letters_program(system, word))
+            # the system builds every twist at the first: t_1 fails, none is kept
+            with pytest.raises(RuntimeError, match="does not realise t_1"):
+                system.compile_word(word)
+            assert "_separating" not in vars(system)
 
 
 def test_genus_2_waist_twists_share_one_program():
-    # s_1 = s_4 at genus 2, so t_1 t_4^-1 is trivial: its joined atoms cancel
+    # s_1 = s_4 at genus 2, so t_1 t_4^-1 is trivial: its twists' programs cancel
     system = get_system(2)
     (t1, t4) = (separating_word(Surface(2, 0), j) for j in (1, 4))
     assert system.compile_word(t1) == system.compile_word(t4)
-    mu = make_step_distribution(torelli_generators(Surface(2, 0), 4))
-    assert mu.support[0].letters == t1
-    assert mu.support[7].letters == tuple((k, -s) for (k, s) in reversed(t4))
+    letters = t1 + tuple((k, -s) for (k, s) in reversed(t4))
     system._compiled.cache_clear()
-    w = _product_of_atoms(mu, mu._atoms, [0, 7])
-    prog = system.compile_word(w.letters)
-    assert len(w.letters) == 24
+    prog = system.compile_word(letters)
     assert prog.n_flips == 0 and list(prog.perm) == list(range(system.n_edges))
     # from the letters, the same class runs 40 flips
-    assert _letters_program(system, w.letters).n_flips == 40
+    assert _letters_program(system, letters).n_flips == 40
 
 
 def test_torelli_walk_word_runs_the_cancelled_flips():
@@ -795,27 +796,38 @@ def test_torelli_walk_word_runs_the_cancelled_flips():
     assert system.compile_word(word).n_flips == 206
 
 
+def _build_twists(mu) -> None:
+    """Build the short programs of the step atoms' separating twists."""
+    system = get_system(mu.genus)
+    for w in mu.support:
+        system.compile_word(w.letters)
+
+
 def test_torelli_walk_word_runs_the_cancelled_flips_from_its_factors(monkeypatch):
     mu = make_step_distribution(torelli_generators(Surface(2, 0), 4))
-    mu._atoms  # compile the atoms first
+    _build_twists(mu)
     system = get_system(2)
     system._compiled.cache_clear()
-    (joins, concatenated) = count_compilation(monkeypatch)
     w = sample_path(mu, 40, 1).final
+    (joins, concatenated) = count_compilation(monkeypatch)
+    prog = system.compile_word(w.letters)
+    assert prog.n_flips == 206
     # one join of the 24 kept atoms' short programs, 10 or 15 flips each
+    # and 270 in all, which the engine found in the word's 288 letters
     assert [len(programs) for programs in joins] == [24]
     assert {p.n_flips for p in joins[0]} <= {10, 15}
-    assert system.compile_word(w.letters).n_flips == 206
+    assert sum(p.n_flips for p in joins[0]) == 270
+    assert system.compile_word(w.letters) is prog
     assert len(joins) == 1 and not concatenated
 
 
 @pytest.mark.parametrize(("genus", "pair_budget"), [(2, 4), (3, 5), (3, 6), (4, 8)])
 def test_factor_built_programs_equal_the_letter_built_ones(genus, pair_budget, monkeypatch):
-    # the walk compiles each location from its atoms' short programs into
-    # the shared system; a fresh system builds the same word from its
-    # letters, with other steps but the same images and no fewer flips
+    # the shared system compiles each location from its atoms' short
+    # programs; a fresh system builds the same word from its letters,
+    # with other steps but the same images and no fewer flips
     mu = make_step_distribution(torelli_generators(Surface(genus, 0), pair_budget))
-    mu._atoms  # compile the atoms first
+    _build_twists(mu)
     system = get_system(genus)
     system._compiled.cache_clear()
     reference = TwistSystem(genus)
@@ -835,6 +847,73 @@ def test_factor_built_programs_equal_the_letter_built_ones(genus, pair_budget, m
                 prog = system.compile_word(w.letters)
                 assert prog.n_flips <= expected.n_flips
                 assert _same_class(system, prog, expected, rng)
+
+
+def _twist_run(j: int, sign: int, pairs: int = 6) -> tuple:
+    """(sigma_j sigma_{j+1})^pairs, or for sign -1 the letters of its inverse."""
+    pair = ((j, 1), (j + 1, 1)) if sign == 1 else ((j + 1, -1), (j, -1))
+    return pair * pairs
+
+
+@st.composite
+def _words_with_twists(draw):
+    """A genus and a word mixing random letters with runs that spell the
+    separating twists t_1 .. t_2g or their inverses: some of seven pairs,
+    which overlap a twist, and some next to letters that cancel into them."""
+    genus = draw(st.integers(2, 4))
+    m = 2 * genus + 1
+    letter = st.tuples(st.integers(1, m), st.sampled_from((1, -1)))
+    letters: list = []
+    for _ in range(draw(st.integers(0, 4))):
+        letters += draw(st.lists(letter, max_size=3))
+        run = _twist_run(
+            draw(st.integers(1, m - 1)), draw(st.sampled_from((1, -1))), draw(st.sampled_from((6, 7)))
+        )
+        if draw(st.booleans()):
+            letters.append((run[0][0], -run[0][1]))
+        letters += run
+        if draw(st.booleans()):
+            letters.append((run[-1][0], -run[-1][1]))
+    letters += draw(st.lists(letter, max_size=3))
+    return (genus, tuple(letters))
+
+
+_BAD_RUNS = (
+    lambda m: ((0, 1),),
+    lambda m: ((m + 1, -1),),
+    lambda m: ((1, 0),),
+    lambda m: ((2, 2),),
+    lambda m: ((0, 1), (1, 1)) * 6,  # "t_0"
+    lambda m: ((1, -1), (0, -1)) * 6,  # "t_0^-1"
+    lambda m: ((m, 1), (m + 1, 1)) * 6,  # "t_m", past the last generator
+    lambda m: ((1, 2), (3, 2)) * 6,  # a run of sign 2
+)
+
+
+@lru_cache(maxsize=None)
+def _fresh_system(genus: int) -> TwistSystem:
+    return TwistSystem(genus)
+
+
+@given(_words_with_twists(), st.integers(0, 2**16), st.sampled_from(_BAD_RUNS))
+# an overlapping run: t_2 and two more letters
+@example((2, _twist_run(2, 1, 7)), 0, _BAD_RUNS[0])
+# t_2g^-1 with a letter cancelling into its tail, t_2g with one into its head
+@example((3, _twist_run(6, -1) + ((6, 1),)), 3, _BAD_RUNS[4])
+@example((4, ((8, -1),) + _twist_run(8, 1)), 13, _BAD_RUNS[6])
+# the genus-2 waist twists, whose programs cancel
+@example((2, _twist_run(1, 1) + _twist_run(4, -1)), 12, _BAD_RUNS[7])
+@settings(max_examples=60, deadline=None)
+def test_a_word_replays_as_its_letters_whatever_twists_it_holds(word, at, bad):
+    (genus, letters) = word
+    system = get_system(genus)
+    prog = system.compile_word(letters)
+    reference = _letters_program(_fresh_system(genus), letters)
+    assert _same_class(system, prog, reference, random.Random(len(letters)))
+    # a bad letter anywhere, or a run that spells no twist, still raises
+    i = at % (len(letters) + 1)
+    with pytest.raises(UnknownCurveError, match="no chain letter"):
+        system.compile_word(letters[:i] + bad(2 * genus + 1) + letters[i:])
 
 
 def test_bad_letters_raise_unknown_curve_error():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import random
@@ -432,28 +433,57 @@ def test_exact_lemma_run_passes(tmp_path: Path):
         assert lhs <= rhs
 
 
-def test_torelli_transience_classifies_the_final_location_first(monkeypatch):
-    # sampling joins the final location's atoms; classified before its 39
-    # prefixes evict it, that program is found by its letters, which are
-    # never concatenated; the outputs stay in k order
+def test_every_torelli_transience_location_runs_the_twists_programs(monkeypatch):
+    # each of the path's 40 locations, prefixes included, is compiled from
+    # the short programs of the separating twists the engine finds in its
+    # letters; no letter's own program is joined
     cfg = _cfg(
         experiment="transience_rk", generators="torelli", lengths=(5, 40), samples=1, seed=1
     )
     mu = harness._context(cfg)[2]
-    mu._atoms  # compile the atoms before counting
-    path = walk.sample_path(mu, 40, "1/path/0")
-    # no prefix spells the final word, which would compile it again
-    assert all(path.location(k).letters != path.final.letters for k in range(40))
-    get_system(2)._compiled.cache_clear()
+    system = get_system(2)
+    # build the twists' programs and the classifier's tables before counting
+    harness._transience_task((cfg, 1))
+    system._compiled.cache_clear()
     (joins, concatenated) = count_compilation(monkeypatch)
     record = harness._transience_task((cfg, 0))
-    assert path.final.letters not in concatenated
-    # one join of the atoms at sampling; every other join concatenates
-    # letters, of more words than the engine's 16-word cache holds
-    assert len(joins) == len(concatenated) + 1
-    assert len(concatenated) > 16
+    assert joins and not concatenated
+    assert {p.n_flips for programs in joins for p in programs} == {10, 15}
+    path = walk.sample_path(mu, 40, "1/path/0")
+    prefixes = [path.location(k).letters for k in range(1, 40)]
+    # from their letters, these prefixes ran 9,062 flips
+    assert sum(system.compile_word(w).n_flips for w in prefixes) == 2957
     digests = [harness._key_digest(curves.canonical_key(path.location(k))) for k in range(1, 41)]
     assert record["digests"] == digests
+
+
+def test_parallel_map_forks_no_more_workers_than_tasks(monkeypatch):
+    # a stand-in pool records its size and runs the tasks in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    tasks = list(range(-8, 0))
+    assert harness._parallel_map(abs, tasks, 64) == [8, 7, 6, 5, 4, 3, 2, 1]
+    assert harness._parallel_map(abs, tasks[:3], 64) == [8, 7, 6]
+    assert harness._parallel_map(abs, tasks, 2) == [8, 7, 6, 5, 4, 3, 2, 1]
+    assert sizes == [8, 3, 2]
+    # one task, or one worker: no pool
+    assert harness._parallel_map(abs, tasks[:1], 64) == [8]
+    assert harness._parallel_map(abs, tasks, 1) == [8, 7, 6, 5, 4, 3, 2, 1]
+    assert sizes == [8, 3, 2]
 
 
 def test_humphries_and_lemma_runs_build_no_separating_program(tmp_path: Path, monkeypatch):
@@ -463,7 +493,8 @@ def test_humphries_and_lemma_runs_build_no_separating_program(tmp_path: Path, mo
     monkeypatch.setattr(engine_system, "separating_program", refuse)
     TwistSystem(2)
     system = get_system(2)
-    monkeypatch.setattr(system, "_separating", {})
+    # the twists' table unbuilt, as in a fresh process
+    monkeypatch.delitem(vars(system), "_separating", raising=False)
     system._compiled.cache_clear()
     walk._level_chain.cache_clear()
     run_experiment(_cfg(out_dir=str(tmp_path), lengths=(5, 20)))
@@ -473,8 +504,8 @@ def test_humphries_and_lemma_runs_build_no_separating_program(tmp_path: Path, mo
             samples=1, k_values=(3,), set_count=5, out_dir=str(tmp_path),
         )
     )
-    assert not system._separating
-    # a separating twist word would have built one
+    assert "_separating" not in vars(system)
+    # a separating twist word would have built them
     with pytest.raises(AssertionError, match="separating program was built"):
         system.compile_word(separating_word(Surface(2, 0), 1))
 

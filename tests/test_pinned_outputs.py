@@ -1,8 +1,9 @@
 """Byte identity of the benchmark workloads' outputs.
 
 Every benchmark experiment at the default seed must write the
-``samples.jsonl`` whose sha256 ``perfbench.workloads`` pins; a change
-that alters one byte of them fails here, without a benchmark run.
+``samples.jsonl`` whose sha256 ``perfbench.workloads`` pins, and one
+Torelli ``transience_rk`` run the one pinned here; a change that alters
+one byte of them fails here, without a benchmark run.
 """
 
 from __future__ import annotations
@@ -63,3 +64,19 @@ def test_config_hashes_are_pinned(tmp_path):
     for name in ("pa_humphries", "torelli_growth", "lemma_convolution"):
         hashes[name] = harness.config_hash(workloads.config(name, seed, str(tmp_path)))
     assert hashes == PINNED_CONFIG_HASHES
+
+
+# a Torelli transience_rk run: every location of its paths, prefixes
+# included, is compiled from the separating twists the engine finds in
+# its letters, and no benchmark workload covers that path
+TORELLI_TRANSIENCE_SHA256 = "cc732726190fc3a3047d953be5e20c46660637ab941c1428d0b38f39e314dde5"
+
+
+def test_torelli_transience_output_matches_its_pinned_digest(tmp_path):
+    cfg = harness.ExperimentConfig(
+        experiment="transience_rk", generators="torelli", genus=2,
+        lengths=(5, 40), samples=2, seed=1, out_dir=str(tmp_path),
+    )
+    report = run_experiment(cfg)
+    data = (Path(report.out_path) / "samples.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == TORELLI_TRANSIENCE_SHA256

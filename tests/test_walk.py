@@ -135,24 +135,18 @@ def count_compilation(monkeypatch) -> tuple[list, list]:
     return (joins, concatenated)
 
 
-def test_step_atoms_factor_only_the_multi_letter_walks(monkeypatch):
+def test_sampling_compiles_nothing(monkeypatch):
     torelli = walk.make_step_distribution(torelli_generators(S2, 4))
-    programs = torelli._atoms[3]
+    mu = walk.make_step_distribution(GS)
     get_system(2)._compiled.cache_clear()
     (joins, concatenated) = count_compilation(monkeypatch)
-    # Humphries atoms are single letters: sampling compiles nothing
-    mu = walk.make_step_distribution(GS)
-    for index in range(20):
-        path = walk.sample_path(mu, 40, walk.sample_seed(2, index))
-        assert path.final == _product_of_steps(mu, path.steps)
-    assert joins == []
-    # Torelli atoms: one join of the kept atoms' programs per location
-    for index in range(20):
-        path = walk.sample_path(torelli, 40, walk.sample_seed(2, index))
-        assert path.final == _product_of_steps(torelli, path.steps)
-        assert len(joins) == index + 1
-        assert joins[-1] == [programs[i] for i in reversed(kept_atoms(torelli, path.steps))]
-    assert concatenated == []
+    # single-letter (Humphries) atoms and the Torelli atoms alike: each
+    # location is its reduced letters, compiled only when a stage asks
+    for dist in (mu, torelli):
+        for index in range(20):
+            path = walk.sample_path(dist, 40, walk.sample_seed(2, index))
+            assert path.final == _product_of_steps(dist, path.steps)
+    assert joins == [] and concatenated == []
 
 
 def test_a_letter_cancelling_between_atoms_drops_the_factors():
@@ -166,8 +160,8 @@ def test_a_letter_cancelling_between_atoms_drops_the_factors():
         path = walk.sample_path(mu, 12, walk.sample_seed(4, index))
         w = path.final
         assert w == _product_of_steps(mu, path.steps)
-        # joined from the atoms at sampling or built from the letters now,
-        # the program replays as the fresh system's letter-built one
+        # with or without the atoms' twists in its letters, the program
+        # replays as the fresh system's letter-built one
         assert system.compile_word(w.letters).apply_all(system.edge_battery) == (
             reference.compile_word(w.letters).apply_all(system.edge_battery)
         )
